@@ -15,15 +15,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .equivalence import (DomainGrid, EquivConfig, _map_points,
-                          equation_equivalent, equivalent_bundle,
-                          equivalent_scalar)
+from .equivalence import (DomainGrid, EquivConfig, equation_equivalent,
+                          equivalent_bundle, equivalent_scalar)
 from .errors import (DomainEvalError, GeneralPositionError, Invar3Error,
                      ParseError, RegularityError, SingularSymbolError)
 from .expr import parse
 from .invariants import (basic_invariants, conformal_invariants,
                          operator_invariants)
-from .quantize import Operator3, split
+from .quantize import Operator3, quantize_sum, split
 from .symbol import Symbol3, classify, value_of
 
 SCHEMA_VERSION = 1
@@ -138,7 +137,8 @@ def cmd_classify(args) -> int:
         except (DomainEvalError, Invar3Error) as err:
             return _point_record(x, y, {"error": str(err)})
 
-    for rec in _map_points(one, spec["grid"].points()):
+    for pt in spec["grid"].points():
+        rec = one(pt)
         (errors if "error" in rec else records).append(rec)
     doc = document("classify", spec["echo"],
                    {"threshold": threshold, "tolerances": spec["tolerances"]},
@@ -185,7 +185,8 @@ def cmd_invariants(args) -> int:
         except (Invar3Error, ZeroDivisionError, FloatingPointError) as err:
             return _point_record(x, y, {"regular": False, "reason": str(err)})
 
-    for rec in _map_points(one, spec["grid"].points()):
+    for pt in spec["grid"].points():
+        rec = one(pt)
         records.append(rec)
         if not rec["regular"]:
             masked += 1
@@ -240,7 +241,6 @@ def cmd_split(args) -> int:
         try:
             opp = op.at(x, y, 2)
             ts = split(opp, args.connection)
-            from .equivalence import quantize_sum
             if args.connection == "chern":
                 from .connection import chern_connection
                 gamma, _ = chern_connection(opp.principal_symbol())
@@ -261,7 +261,8 @@ def cmd_split(args) -> int:
         except (SingularSymbolError, RegularityError, Invar3Error) as err:
             return _point_record(x, y, {"regular": False, "reason": str(err)})
 
-    for rec in _map_points(one, spec["grid"].points()):
+    for pt in spec["grid"].points():
+        rec = one(pt)
         records.append(rec)
         if not rec["regular"]:
             singular += 1

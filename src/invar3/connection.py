@@ -33,7 +33,7 @@ from typing import Any
 from .errors import JetOrderError, SingularSymbolError
 from .jets import Jet2
 from .linalg import solve_jet_system
-from .symbol import Symbol3, discriminant, norm_of, value_of
+from .symbol import Symbol3, discriminant, max_of, norm_of, value_of
 
 __all__ = [
     "AffineConnection", "OneForm", "TwoForm", "TorsionTensor", "GroupType",
@@ -63,8 +63,8 @@ class AffineConnection:
     def entries(self) -> list:
         return [self.gamma[k][i][j] for k in range(2) for i in range(2) for j in range(2)]
 
-    def norm(self) -> float:
-        return max(norm_of(e) for e in self.entries())
+    def norm(self):
+        return max_of(norm_of(e) for e in self.entries())
 
     def truncated(self, order: int) -> "AffineConnection":
         """The connection with its jet entries truncated to ``order``."""
@@ -111,8 +111,8 @@ class OneForm:
     def scale(self, factor) -> "OneForm":
         return OneForm(self.t1 * factor, self.t2 * factor)
 
-    def norm(self) -> float:
-        return max(norm_of(self.t1), norm_of(self.t2))
+    def norm(self):
+        return max_of((norm_of(self.t1), norm_of(self.t2)))
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,8 @@ class TorsionTensor:
     def components(self) -> tuple:
         return (self.t1, self.t2)
 
-    def norm(self) -> float:
-        return max(norm_of(self.t1), norm_of(self.t2))
+    def norm(self):
+        return max_of((norm_of(self.t1), norm_of(self.t2)))
 
 
 class GroupType(Enum):

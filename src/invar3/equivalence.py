@@ -17,8 +17,6 @@ conjugation by a nonvanishing function.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -27,15 +25,17 @@ from scipy.spatial import Delaunay, cKDTree
 
 from .connection import AffineConnection, OneForm, exterior_derivative
 from .errors import (GeneralPositionError, Invar3Error, InverseMismatchError,
-                     NonPositiveScaleError, RegularityError, ZeroCrossingError)
+                     NonPositiveScaleError, RegularityError, ZeroCrossingError,
+                     raise_where)
 from .expr import Expr, coefficient_field
 from .invariants import (conformal_frame_data, cubic_in_basis,
                          decompose_cubic, symbol_coframe_point)
 from .jets import Jet2, as_jet, compose, real_power
 from .jets import asinh as jet_asinh
 from .linalg import solve_jet_system
-from .quantize import RAW_SLOTS, Operator3, quantize, subsymbol
-from .symbol import Symbol3, value_of
+# quantize_sum is re-exported: callers have long imported it from here
+from .quantize import RAW_SLOTS, Operator3, quantize_sum, subsymbol  # noqa: F401
+from .symbol import Symbol3, max_of, value_of
 
 __all__ = [
     "DomainGrid", "NaturalChart", "NaturalModel", "Verdict", "EquivConfig",
@@ -168,16 +168,6 @@ class Verdict:
     config: dict
     obstruction: dict | None = None
     notes: list[str] = field(default_factory=list)
-
-
-# -- parallel grid map --------------------------------------------------------------
-
-def _map_points(fn, pts):
-    workers = int(os.environ.get("INVAR3_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, pts))
-    return [fn(p) for p in pts]
 
 
 # -- per-point memo -------------------------------------------------------------------
@@ -478,7 +468,9 @@ def line_bundle_connection(op_field: Operator3, p: tuple[float, float], *,
     weight--1/3 rescaled Hessian of the cubic.  Returns (theta, lambda)
     as jets carrying ``extra_order`` derivatives.  ``chern`` is the Chern
     connection of the principal symbol at ``p`` when the caller already
-    has it, with jets of order at least ``max(1, extra_order)``.
+    has it, with jets of order at least ``max(1, extra_order)``.  The
+    coordinates of ``p`` may be sequences of points: the jets are then
+    batched, one row per point.
     """
     from .symbol import scaled_hessian
 
@@ -501,11 +493,11 @@ def line_bundle_connection(op_field: Operator3, p: tuple[float, float], *,
     res = 0.0
     for row, b in zip(M, rhs):
         lhs = row[0] * x[0] + row[1] * x[1] + row[2] * x[2] - b
-        res = max(res, abs(value_of(lhs)))
-    scale = max(1.0, opp.norm())
-    if res > 1e-10 * scale * max(1.0, report.cond):
-        raise RegularityError("line-bundle connection residual too large",
-                              [f"residual {res:.3g}"])
+        res = max_of((res, abs(value_of(lhs))))
+    scale = max_of((1.0, opp.norm()))
+    raise_where(res > 1e-10 * scale * max_of((1.0, report.cond)),
+                lambda: RegularityError("line-bundle connection residual too large",
+                                        [f"residual {res:.3g}"]))
     return theta, lam
 
 
@@ -584,20 +576,18 @@ def _stage_one(op_field: Operator3, grid: DomainGrid, order: int = 1):
     """
     sym_field = Symbol3(*op_field.components[:4])
     pts = grid.points()
-
-    def one(pt):
-        x, y = pt
+    records = []
+    for (x, y) in pts:
         try:
             cands, frame = _candidate_invariants(sym_field, x, y, order, with_frame=True)
         except (Invar3Error, ZeroDivisionError, FloatingPointError):
-            return None
+            records.append(None)
+            continue
         vals = np.array([value_of(c) for c in cands])
         grads = np.array([[c.partial(1, 0), c.partial(0, 1)] for c in cands])
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))):
-            return None
-        return (vals, grads, cands, frame)
-
-    return pts, _map_points(one, pts)
+        finite = np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))
+        records.append((vals, grads, cands, frame) if finite else None)
+    return pts, records
 
 
 def _pair_quality(stage, pair, floor: float):
@@ -727,15 +717,18 @@ def _assemble_model(op_field, grid, mode, selection, cfg, pts, stage,
         from .invariants import operator_invariants
 
         field_names = list(_BUNDLE_FIELDS)
+        # per point: the fields, and the connection form's two components
+        # with the density of its exterior derivative; the obstruction
+        # report reads the latter at the matched points, whose fields were
+        # compared before
+        records = _PointMemo(lambda x, y, _order: _bundle_record(
+            operator_invariants(op_field, x, y, mode="bundle")))
 
         def fields_at(x: float, y: float) -> dict:
-            inv = operator_invariants(op_field, x, y, mode="bundle")
-            return inv.flat()
+            return records(x, y, 0)[0]
 
         def connection_at(x: float, y: float) -> tuple[float, float, float]:
-            theta_xi, _ = line_bundle_connection(op_field, (x, y), extra_order=1)
-            curv = exterior_derivative(theta_xi)
-            return (value_of(theta_xi.t1), value_of(theta_xi.t2), value_of(curv.r))
+            return records(x, y, 0)[1]
 
     npts = len(pts)
     values = np.full((npts, 2), np.nan)
@@ -743,34 +736,48 @@ def _assemble_model(op_field, grid, mode, selection, cfg, pts, stage,
     mask = np.zeros(npts, dtype=bool)
     fvals = np.full((npts, len(field_names)), np.nan)
 
-    def one(k_pt):
-        k, pt = k_pt
-        rec = stage[k]
+    kept = []
+    for k, rec in enumerate(stage):
         if rec is None:
-            return None
+            continue
         vals, grads = rec[:2]
         if max(abs(vals[i_sel]), abs(vals[j_sel])) > cfg.coordinate_cap:
-            return None
+            continue
         det = grads[i_sel, 0] * grads[j_sel, 1] - grads[i_sel, 1] * grads[j_sel, 0]
         scale = (np.hypot(*grads[i_sel]) * np.hypot(*grads[j_sel])) + 1e-300
         if abs(det) < cfg.jacobian_floor * scale:
-            return None
-        try:
-            f = fields_at(pt[0], pt[1])
-        except (Invar3Error, ZeroDivisionError, FloatingPointError):
-            return None
+            continue
+        kept.append(k)
+
+    found: list = []
+    if mode == "scalar":
+        for k in kept:
+            try:
+                found.append(fields_at(*pts[k]))
+            except (Invar3Error, ZeroDivisionError, FloatingPointError):
+                found.append(None)
+    else:
+        # one pass of the invariant pipeline over all kept grid points
+        invs = operator_invariants(op_field, [pts[k][0] for k in kept],
+                                   [pts[k][1] for k in kept], mode="bundle")
+        for k, inv in zip(kept, invs):
+            if isinstance(inv, Exception):
+                found.append(None)
+                continue
+            rec = _bundle_record(inv)
+            records.put(*pts[k], 0, rec)
+            found.append(rec[0])
+
+    for k, f in zip(kept, found):
+        if f is None:
+            continue
         row = np.array([f[n] for n in field_names])
         if not np.all(np.isfinite(row)):
-            return None
-        return (vals[[i_sel, j_sel]], grads[[i_sel, j_sel]], row)
-
-    results = _map_points(one, list(enumerate(pts)))
-    for k, res in enumerate(results):
-        if res is None:
             continue
-        values[k] = res[0]
-        jacobians[k] = res[1]
-        fvals[k] = res[2]
+        vals, grads = stage[k][:2]
+        values[k] = vals[[i_sel, j_sel]]
+        jacobians[k] = grads[[i_sel, j_sel]]
+        fvals[k] = row
         mask[k] = True
 
     if mask.sum() < max(4, cfg.min_regular_fraction * npts):
@@ -782,6 +789,14 @@ def _assemble_model(op_field, grid, mode, selection, cfg, pts, stage,
                         field_values=fvals, points=np.array(pts),
                         coords_jac=coords_jac, fields_at=fields_at,
                         connection_at=connection_at, signature_at=signature_at)
+
+
+def _bundle_record(inv) -> tuple:
+    """What a bundle model keeps of a point: the invariant fields, and the
+    connection form's components with its exterior derivative's density."""
+    theta = inv.connection
+    curv = exterior_derivative(theta).r
+    return (inv.flat(), (value_of(theta.t1), value_of(theta.t2), value_of(curv)))
 
 
 # -- chart inversion and comparison ---------------------------------------------------
@@ -1272,13 +1287,3 @@ def equation_equivalent(op_a: Operator3, op_b: Operator3, grid_a, grid_b,
         best.notes.append("neither sign of the normalization matches")
         return best
     return v_plus if v_plus.equivalent != "inconclusive" else v_minus
-
-
-# quantize/split round-trips want this convenience in tests and the CLI
-def quantize_sum(total, gamma, theta: OneForm | None = None) -> Operator3:
-    """Assemble an operator from a total symbol against a connection."""
-    raw: dict = {}
-    for part in (total.sigma3, total.sigma2, total.sigma1, total.sigma0):
-        for alpha, c in quantize(part, gamma, theta).coeffs.items():
-            raw[alpha] = raw.get(alpha, 0.0) + c
-    return Operator3.from_raw(raw)

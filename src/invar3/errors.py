@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class Invar3Error(Exception):
     """Base class for all errors raised by this package."""
@@ -76,6 +78,35 @@ class ZeroCrossingError(Invar3Error):
 
 class NonPositiveScaleError(Invar3Error):
     """The normalization multiplier is not positive at the requested point."""
+
+
+class BatchRowError(Invar3Error):
+    """Some points of a batch failed a pointwise check.
+
+    ``rows`` indexes the failed points along the batch axis.  The check
+    names no reason for them: computed alone, each such point raises the
+    error that tells what failed there.
+    """
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows)
+        super().__init__(f"batch rows {self.rows.tolist()} failed a pointwise check")
+
+
+def raise_where(bad, error) -> None:
+    """Raise where a check fails.
+
+    ``bad`` is a bool for one point, or a boolean array over the rows of a
+    batch.  One point raises ``error()``; a batch raises
+    :class:`BatchRowError` naming the rows where ``bad`` holds.
+    """
+    if bad is False:
+        return
+    if isinstance(bad, np.ndarray):
+        if bad.any():
+            raise BatchRowError(np.flatnonzero(bad))
+    elif bad:
+        raise error()
 
 
 class ConditioningWarning(UserWarning):

@@ -20,14 +20,15 @@ import re
 from dataclasses import dataclass
 
 from . import jets
-from .errors import DomainEvalError, ParseError, UnknownIdentifierError
+from .errors import (BatchRowError, DomainEvalError, Invar3Error, ParseError,
+                     UnknownIdentifierError)
 from .jets import Jet2
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "parse", "eval_jet", "diff", "var", "const",
     "exp", "ln", "sin", "cos", "sqrt", "cbrt",
-    "coefficient_field",
+    "coefficient_field", "field_at",
 ]
 
 _FUNCTIONS = {
@@ -462,3 +463,24 @@ def coefficient_field(component):
     if callable(component):
         return component
     raise TypeError(f"cannot interpret {type(component).__name__} as a coefficient field")
+
+
+def field_at(component, x, y, order: int) -> Jet2:
+    """Jet of a coefficient component at the point (x, y).
+
+    ``x`` and ``y`` may also be equal-length sequences: the jets at those
+    points are then stacked into one batched jet.  Points where evaluation
+    fails make the batch raise :class:`BatchRowError` naming them.
+    """
+    f = coefficient_field(component)
+    if isinstance(x, (int, float)):
+        return f(x, y, order)
+    rows, bad = [], []
+    for k, (xk, yk) in enumerate(zip(x, y)):
+        try:
+            rows.append(f(xk, yk, order))
+        except (Invar3Error, ZeroDivisionError, FloatingPointError):
+            bad.append(k)
+    if bad:
+        raise BatchRowError(bad)
+    return jets.stack(rows)

@@ -22,22 +22,28 @@ record the situation.
 Decomposing the symbol in the dual frame yields the four basic scalar
 invariants; Tresse derivatives differentiate invariant pipelines along
 the frame by jet propagation, never by finite differences.
+
+The conformal frame and the operator invariants run on batched jets as
+well (one row per point, see :mod:`invar3.jets`); their regularity checks
+then hold row by row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
+
+import numpy as np
 
 from . import jets
 from .connection import (AffineConnection, OneForm, TwoForm, chern_connection,
                          covariant_derivative_oneform,
                          covariant_derivative_twoform, exterior_derivative,
                          torsion_form, wagner_connection)
-from .errors import RegularityError
+from .errors import BatchRowError, Invar3Error, RegularityError, raise_where
 from .jets import Jet2
 from .quantize import Operator3, split
-from .symbol import Sym2Form, Symbol3, scaled_hessian, value_of
+from .symbol import Sym2Form, Symbol3, max_of, scaled_hessian, value_of
 
 __all__ = [
     "Coframe", "InvariantVector", "OperatorInvariants",
@@ -97,13 +103,19 @@ class InvariantVector:
 @dataclass(frozen=True)
 class OperatorInvariants:
     """Coframe components of the total symbol (4 + 3 + 2 + 1 values) and,
-    in bundle mode, the curvature invariant K."""
+    in bundle mode, the curvature invariant K and the canonical line-bundle
+    connection form it derives from."""
 
     sigma3: tuple
     sigma2: tuple
     sigma1: tuple
     sigma0: Any
     curvature_k: Any = None
+    connection: OneForm | None = None
+
+    def row(self, i: int) -> "OperatorInvariants":
+        """The invariants at point ``i`` of a batch."""
+        return OperatorInvariants(*(_row_of(getattr(self, f.name), i) for f in fields(self)))
 
     def flat(self) -> dict:
         out = {}
@@ -117,6 +129,16 @@ class OperatorInvariants:
         if self.curvature_k is not None:
             out["K"] = value_of(self.curvature_k)
         return out
+
+
+def _row_of(v, i: int):
+    if isinstance(v, Jet2):
+        return v.row(i)
+    if isinstance(v, tuple):
+        return tuple(_row_of(w, i) for w in v)
+    if isinstance(v, OneForm):
+        return OneForm(_row_of(v.t1, i), _row_of(v.t2, i))
+    return v
 
 
 # -- tensor decompositions in a frame ------------------------------------------
@@ -191,20 +213,20 @@ def _build_coframe(theta: OneForm, metric: Sym2Form, *, rel_tol: float,
     :class:`RegularityError` when the covector vanishes or is null.
     """
     t1v, t2v = value_of(theta.t1), value_of(theta.t2)
-    theta_scale = max(abs(t1v), abs(t2v))
-    if theta_scale <= rel_tol * max(scale, 1.0):
-        raise RegularityError("coframe construction failed", [zero_name])
+    theta_scale = max_of((abs(t1v), abs(t2v)))
+    raise_where(theta_scale <= rel_tol * max_of((scale, 1.0)),
+                lambda: RegularityError("coframe construction failed", [zero_name]))
     pairing = metric.pair(theta.components, theta.components)
     pairing_value = value_of(pairing)
     pair_scale = metric.norm() * theta_scale ** 2
     diagnostics["pairing"] = pairing_value
-    if abs(pairing_value) <= rel_tol * max(pair_scale, 1e-300):
-        raise RegularityError("coframe construction failed", [null_name])
+    raise_where(abs(pairing_value) <= rel_tol * max_of((pair_scale, 1e-300)),
+                lambda: RegularityError("coframe construction failed", [null_name]))
     det = metric.det()
-    det_sign = 1.0 if value_of(det) > 0 else -1.0
+    det_sign = _sign(value_of(det))
     inv_root = 1.0 / jets.sqrt(jets.jabs(det))
     raised = metric.raised(theta.components)
-    sign = 1.0 if pairing_value > 0 else -1.0
+    sign = _sign(pairing_value)
     theta_prime = OneForm(raised[1] * (-sign) * inv_root, raised[0] * sign * inv_root)
     area = theta.t1 * theta_prime.t2 - theta.t2 * theta_prime.t1
     inv_area = 1.0 / area
@@ -213,6 +235,13 @@ def _build_coframe(theta: OneForm, metric: Sym2Form, *, rel_tol: float,
     return Coframe(theta=theta, theta_prime=theta_prime, d1=d1, d2=d2,
                    metric=metric, pair_sign=sign, metric_det_sign=det_sign,
                    diagnostics=diagnostics)
+
+
+def _sign(v):
+    """+1.0 where the value is positive, else -1.0 (per row on a batch)."""
+    if isinstance(v, np.ndarray):
+        return np.where(v > 0, 1.0, -1.0)
+    return 1.0 if v > 0 else -1.0
 
 
 def symbol_coframe_point(sp: Symbol3, *, rel_tol: float = 1e-9) -> Coframe:
@@ -286,7 +315,8 @@ class ConformalFrameData:
 
 def conformal_frame_data(symbol_field: Symbol3, x: float, y: float, *,
                          extra_order: int = 0, rel_tol: float = 1e-9) -> ConformalFrameData:
-    """Full conformal-frame pipeline at a point.
+    """Full conformal-frame pipeline at a point (or at a sequence of points,
+    on batched jets).
 
     Consumes (4 + extra_order)-jets of the symbol coefficients.  Raises
     :class:`RegularityError` itemizing which condition failed: singular
@@ -298,21 +328,21 @@ def conformal_frame_data(symbol_field: Symbol3, x: float, y: float, *,
     gamma, omega = chern_connection(sp)
     big_omega = exterior_derivative(omega)
     rho = big_omega.r
-    scale4 = max(sp.norm(), 1.0)
-    if abs(value_of(rho)) <= rel_tol * scale4:
-        raise RegularityError("conformal frame failed", ["curvature form vanishes"])
+    scale4 = max_of((sp.norm(), 1.0))
+    raise_where(abs(value_of(rho)) <= rel_tol * scale4,
+                lambda: RegularityError("conformal frame failed", ["curvature form vanishes"]))
     nabla_omega = covariant_derivative_twoform(gamma, big_omega)
     theta = OneForm(nabla_omega[0] / rho, nabla_omega[1] / rho)
     H = covariant_derivative_oneform(gamma, theta)
     quad = Sym2Form(H[0][0], H[0][1] + H[1][0], H[1][1], variance="co")
     qdet = value_of(quad.det())
-    qscale = max(quad.norm() ** 2, 1e-300)
-    if abs(qdet) <= rel_tol * qscale:
-        raise RegularityError("conformal frame failed", ["quadratic form is degenerate"])
+    qscale = max_of((quad.norm() ** 2, 1e-300))
+    raise_where(abs(qdet) <= rel_tol * qscale,
+                lambda: RegularityError("conformal frame failed", ["quadratic form is degenerate"]))
     pairing_metric = quad.inverse()
     diagnostics: dict = {"curvature_density": value_of(rho), "quad_det": qdet}
     coframe = _build_coframe(theta, pairing_metric, rel_tol=rel_tol,
-                             scale=max(theta.norm(), 1.0),
+                             scale=max_of((theta.norm(), 1.0)),
                              null_name="covector is null for the quadratic form",
                              zero_name="covector vanishes",
                              diagnostics=diagnostics)
@@ -348,15 +378,70 @@ def conformal_invariants(symbol_field: Symbol3, x: float, y: float, *,
 
 # -- operator invariants ------------------------------------------------------------
 
-def operator_invariants(op_field: Operator3, x: float, y: float, *,
-                        mode: str = "scalar", rel_tol: float = 1e-9) -> OperatorInvariants:
+_POINT_ERRORS = (Invar3Error, ZeroDivisionError, FloatingPointError)
+
+
+def operator_invariants(op_field: Operator3, x, y, *,
+                        mode: str = "scalar", rel_tol: float = 1e-9):
     """Coframe components of the operator's total symbol at a point.
 
     ``mode="scalar"`` splits against the Chern connection of the principal
     symbol; ``mode="bundle"`` first solves the canonical line-bundle
     connection and splits with its form, adding the curvature invariant K
     (bundle curvature density over the coframe area element).
+
+    ``x`` and ``y`` may also be equal-length sequences of points.  The
+    pipeline then runs once, on batched jets of all the points, and the
+    result is a list holding, per point, its :class:`OperatorInvariants`
+    or the error that masks it: the error the point raises on its own.
     """
+    if isinstance(x, (int, float)):
+        return _operator_invariants(op_field, x, y, mode, rel_tol)
+    return _per_point(lambda px, py: _operator_invariants(op_field, px, py, mode, rel_tol),
+                      list(x), list(y))
+
+
+def _per_point(compute: Callable, xs: list, ys: list) -> list:
+    """``compute`` run once on a batch of points, split into one result or
+    error per point.
+
+    A point that fails a check leaves the batch, which is computed again
+    without it.  Those points, and points whose batched invariants are not
+    all finite, are computed alone, so that every point gets exactly its
+    one-point result or error.
+    """
+    out: list = [None] * len(xs)
+    live = list(range(len(xs)))
+    alone = []
+    while live:
+        try:
+            batch = compute([xs[k] for k in live], [ys[k] for k in live])
+        except BatchRowError as err:
+            failed = {live[i] for i in err.rows.tolist()}
+            alone.extend(failed)
+            live = [k for k in live if k not in failed]
+            continue
+        except _POINT_ERRORS:
+            # a failure that names no rows: fall back to single points
+            alone.extend(live)
+            break
+        for i, k in enumerate(live):
+            res = batch.row(i)
+            if np.isfinite(list(res.flat().values())).all():
+                out[k] = res
+            else:
+                alone.append(k)
+        break
+    for k in sorted(alone):
+        try:
+            out[k] = compute(xs[k], ys[k])
+        except _POINT_ERRORS as err:
+            out[k] = err
+    return out
+
+
+def _operator_invariants(op_field: Operator3, x, y, mode: str,
+                         rel_tol: float) -> OperatorInvariants:
     from .equivalence import line_bundle_connection  # cycle-free at call time
 
     sym_field = Symbol3(*(c for c in op_field.components[:4]))
@@ -365,6 +450,7 @@ def operator_invariants(op_field: Operator3, x: float, y: float, *,
     # the frame's Chern connection, truncated, serves every later split:
     # truncated jet solves are prefixes of the deeper one
     chern = data.gamma
+    theta_xi = None
     if mode == "scalar":
         opp = op_field.at(x, y, 2)
         ts = split(opp, "chern", gamma=chern.truncated(1))
@@ -383,4 +469,5 @@ def operator_invariants(op_field: Operator3, x: float, y: float, *,
         sigma1=decompose_vector(ts.sigma1, frame),
         sigma0=ts.sigma0,
         curvature_k=k_inv,
+        connection=theta_xi,
     )

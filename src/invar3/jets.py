@@ -10,6 +10,13 @@ Coefficients are packed into a flat array in graded order (total degree,
 then increasing y-power), so truncation to a lower order is a prefix slice.
 Elementary functions are applied through their univariate Taylor series
 around the jet's constant term (Horner in ``u - u0``).
+
+A jet may also hold a batch: coefficients shaped ``(N, ncoef)``, one row
+per base point.  Every operation then acts row by row, with the same
+floating-point operations in the same order as on a single point, so a
+row of a batched result is bit-identical to the unbatched computation.
+Pointwise checks (a zero constant term, a negative radicand) raise
+:class:`~invar3.errors.BatchRowError` naming the failing rows.
 """
 
 from __future__ import annotations
@@ -19,12 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainEvalError, OrderMismatchError
+from .errors import DomainEvalError, OrderMismatchError, raise_where
 
 __all__ = [
     "Jet2", "ncoef", "pack_index",
     "exp", "ln", "sin", "cos", "sqrt", "cbrt", "jabs", "asinh", "real_power",
-    "compose", "as_jet",
+    "compose", "as_jet", "stack",
 ]
 
 
@@ -66,16 +73,28 @@ def _conv_table(ka: int, kb: int, kout: int) -> tuple[np.ndarray, np.ndarray, np
     return np.array(out_idx), np.array(a_idx), np.array(b_idx)
 
 
-# (order of a, order of b) -> (product order, its ncoef, out, a, b indices);
-# a plain dict lookup keeps the per-multiply overhead small
-_MUL_TABLES: dict = {}
+# _MUL_TABLES[order of a][order of b] -> (product order, its ncoef, out, a, b
+# indices), or None until first used; nested lists keep the per-multiply
+# lookup cheap
+_MUL_TABLES: list = []
 
 
 def _mul_table(ka: int, kb: int) -> tuple:
+    size = max(ka, kb, len(_MUL_TABLES) - 1) + 1
+    for row in _MUL_TABLES:
+        row.extend([None] * (size - len(row)))
+    _MUL_TABLES.extend([None] * size for _ in range(size - len(_MUL_TABLES)))
     k = min(ka, kb)
     table = (k, ncoef(k), *_conv_table(ka, kb, k))
-    _MUL_TABLES[(ka, kb)] = table
+    _MUL_TABLES[ka][kb] = table
     return table
+
+
+def _table(ka: int, kb: int) -> tuple:
+    try:
+        return _MUL_TABLES[ka][kb] or _mul_table(ka, kb)
+    except IndexError:
+        return _mul_table(ka, kb)
 
 
 def _product(a: np.ndarray, b: np.ndarray, table: tuple) -> np.ndarray:
@@ -93,6 +112,25 @@ def _product(a: np.ndarray, b: np.ndarray, table: tuple) -> np.ndarray:
         b0, b1, b2 = b[:3].tolist()
         return _array((0.0 + a0 * b0, 0.0 + a0 * b1 + a1 * b0, 0.0 + a0 * b2 + a2 * b0))
     return _array((0.0 + float(a[0]) * float(b[0]),))
+
+
+def _batch_product(a: np.ndarray, b: np.ndarray, table: tuple) -> np.ndarray:
+    """:func:`_product` row by row, where either array (or both) holds a
+    batch: one bincount over output indices offset by row, so each row's
+    coefficients are summed from zero in the table's term order."""
+    k, n, oi, ai, bi = table
+    terms = a.take(ai, axis=-1) * b.take(bi, axis=-1)
+    rows, size = terms.shape
+    idx = _ROW_INDEX.get(id(oi))
+    if idx is None or len(idx) < rows * size:
+        idx = _ROW_INDEX[id(oi)] = (oi + n * np.arange(rows)[:, None]).ravel()
+    return _bincount(idx[:rows * size], terms.ravel(), rows * n).reshape(rows, n)
+
+
+# id of an output-index table -> those indices offset by row, for the
+# largest batch seen (a smaller batch uses a prefix); the tables live for
+# the whole process, so their ids are stable keys
+_ROW_INDEX: dict = {}
 
 
 # the C implementation, without the array-function dispatch wrapper
@@ -126,7 +164,12 @@ def _diff_table(order: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Jet2:
-    """Order-K truncated Taylor expansion of a scalar field of (x, y)."""
+    """Order-K truncated Taylor expansion of a scalar field of (x, y).
+
+    ``c`` holds the packed coefficients, shaped ``(ncoef,)`` at one point or
+    ``(N, ncoef)`` for a batch of N points.  On a batch, the inspection
+    methods return one value per row.
+    """
 
     __slots__ = ("order", "c")
 
@@ -134,7 +177,7 @@ class Jet2:
         if order < 0:
             raise OrderMismatchError("jet order must be non-negative")
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (ncoef(order),):
+        if c.ndim not in (1, 2) or c.shape[-1] != ncoef(order):
             raise OrderMismatchError(
                 f"order-{order} jet needs {ncoef(order)} coefficients, got shape {c.shape}")
         self.order = order
@@ -169,35 +212,52 @@ class Jet2:
     # -- inspection --------------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def batched(self) -> bool:
+        return self.c.ndim == 2
 
-    def partial(self, i: int, j: int) -> float:
+    @property
+    def value(self):
+        c = self.c
+        return float(c[0]) if c.ndim == 1 else c[:, 0]
+
+    def partial(self, i: int, j: int):
         """Raw partial derivative d^{i+j} f / dx^i dy^j at the base point."""
         if i + j > self.order:
             raise OrderMismatchError(f"jet of order {self.order} has no ({i},{j}) derivative")
-        return float(self.c[pack_index(i, j)]) * math.factorial(i) * math.factorial(j)
+        c = self.c
+        v = float(c[pack_index(i, j)]) if c.ndim == 1 else c[:, pack_index(i, j)]
+        return v * math.factorial(i) * math.factorial(j)
 
-    def coeff(self, i: int, j: int) -> float:
+    def coeff(self, i: int, j: int):
         """Scaled Taylor coefficient c_{ij}."""
         if i + j > self.order:
             raise OrderMismatchError(f"jet of order {self.order} has no ({i},{j}) coefficient")
-        return float(self.c[pack_index(i, j)])
+        c = self.c
+        return float(c[pack_index(i, j)]) if c.ndim == 1 else c[:, pack_index(i, j)]
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.c).all())
 
-    def norm(self) -> float:
-        return float(np.abs(self.c).max())
+    def norm(self):
+        """Max-norm of the coefficients (per row on a batch)."""
+        c = self.c
+        return float(np.abs(c).max()) if c.ndim == 1 else np.abs(c).max(axis=1)
+
+    def row(self, i: int) -> "Jet2":
+        """The jet at point ``i`` of a batch."""
+        return _make(self.order, self.c[i])
 
     def truncated(self, order: int) -> "Jet2":
         if order >= self.order:
             if order == self.order:
                 return self
             raise OrderMismatchError(f"cannot extend order {self.order} jet to order {order}")
-        return _make(order, self.c[:ncoef(order)])
+        c = self.c
+        return _make(order, c[:ncoef(order)] if c.ndim == 1 else c[:, :ncoef(order)])
 
     def __repr__(self) -> str:
+        if self.batched:
+            return f"Jet2(order={self.order}, batch={len(self.c)})"
         return f"Jet2(order={self.order}, value={self.value:.6g})"
 
     # -- derivatives -------------------------------------------------------
@@ -206,13 +266,15 @@ class Jet2:
         if self.order < 1:
             raise OrderMismatchError("cannot differentiate an order-0 jet")
         src, mult = _diff_table(self.order, 0)
-        return _make(self.order - 1, self.c[src] * mult)
+        c = self.c
+        return _make(self.order - 1, (c[src] if c.ndim == 1 else c.take(src, axis=1)) * mult)
 
     def dy(self) -> "Jet2":
         if self.order < 1:
             raise OrderMismatchError("cannot differentiate an order-0 jet")
         src, mult = _diff_table(self.order, 1)
-        return _make(self.order - 1, self.c[src] * mult)
+        c = self.c
+        return _make(self.order - 1, (c[src] if c.ndim == 1 else c.take(src, axis=1)) * mult)
 
     # -- ring operations ---------------------------------------------------
 
@@ -221,11 +283,17 @@ class Jet2:
             if self.order == other.order:
                 return _make(self.order, self.c + other.c)
             low = self if self.order < other.order else other
-            n = len(low.c)
-            return _make(low.order, self.c[:n] + other.c[:n])
+            a, b = self.c, other.c
+            n = low.c.shape[-1]
+            if a.ndim + b.ndim == 2:
+                return _make(low.order, a[:n] + b[:n])
+            return _make(low.order, _prefix(a, n) + _prefix(b, n))
         if isinstance(other, (int, float)):
             c = self.c.copy()
-            c[0] += other
+            if c.ndim == 1:
+                c[0] += other
+            else:
+                c[:, 0] += other
             return _make(self.order, c)
         return NotImplemented
 
@@ -239,11 +307,17 @@ class Jet2:
             if self.order == other.order:
                 return _make(self.order, self.c - other.c)
             low = self if self.order < other.order else other
-            n = len(low.c)
-            return _make(low.order, self.c[:n] - other.c[:n])
+            a, b = self.c, other.c
+            n = low.c.shape[-1]
+            if a.ndim + b.ndim == 2:
+                return _make(low.order, a[:n] - b[:n])
+            return _make(low.order, _prefix(a, n) - _prefix(b, n))
         if isinstance(other, (int, float)):
             c = self.c.copy()
-            c[0] -= other
+            if c.ndim == 1:
+                c[0] -= other
+            else:
+                c[:, 0] -= other
             return _make(self.order, c)
         return NotImplemented
 
@@ -252,14 +326,21 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            table = (_MUL_TABLES.get((self.order, other.order))
-                     or _mul_table(self.order, other.order))
+            a, b = self.c, other.c
+            try:
+                table = (_MUL_TABLES[self.order][other.order]
+                         or _mul_table(self.order, other.order))
+            except IndexError:
+                table = _mul_table(self.order, other.order)
             out = _object_new(Jet2)
             out.order = table[0]
-            out.c = _product(self.c, other.c, table)
+            out.c = (_product if a.ndim + b.ndim == 2 else _batch_product)(a, b, table)
             return out
         if isinstance(other, (int, float)):
             return _make(self.order, self.c * other)
+        if isinstance(other, np.ndarray):
+            # one number per row of a batch
+            return _make(self.order, self.c * other[:, None])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -294,6 +375,11 @@ class Jet2:
         return result
 
 
+def _prefix(c: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` coefficients (of every row, on a batch)."""
+    return c[:n] if c.ndim == 1 else c[:, :n]
+
+
 def as_jet(v, order: int) -> Jet2:
     """Lift numbers to constant jets; pass jets through (truncating)."""
     if isinstance(v, Jet2):
@@ -301,37 +387,84 @@ def as_jet(v, order: int) -> Jet2:
     return Jet2.constant(float(v), order)
 
 
+def stack(points: list) -> Jet2:
+    """One batched jet from jets of a common order, one per point."""
+    return _make(points[0].order, np.stack([p.c for p in points]))
+
+
 # -- univariate series composition ------------------------------------------
 
 def _series_apply(u: Jet2, coeffs: np.ndarray) -> Jet2:
-    """Evaluate sum coeffs[k] (u - u0)^k by Horner; coeffs has length order+1."""
+    """Evaluate sum coeffs[k] (u - u0)^k by Horner; coeffs has length
+    order+1 (one such row per point on a batch)."""
     k = u.order
-    table = _MUL_TABLES.get((k, k)) or _mul_table(k, k)
+    table = _table(k, k)
     du = u.c.copy()
-    du[0] = 0.0
-    acc = np.zeros(table[1])
-    acc[0] = coeffs[k]
+    if du.ndim == 1:
+        du[0] = 0.0
+        acc = np.zeros(table[1])
+        acc[0] = coeffs[k]
+        for m in range(k - 1, -1, -1):
+            acc = _product(acc, du, table)
+            acc[0] += coeffs[m]
+        return _make(k, acc)
+    # a batch: the same Horner steps on every row
+    du[:, 0] = 0.0
+    acc = np.zeros(du.shape)
+    acc[:, 0] = coeffs[:, k]
     for m in range(k - 1, -1, -1):
-        acc = _product(acc, du, table)
-        acc[0] += coeffs[m]
+        acc = _batch_product(acc, du, table)
+        acc[:, 0] += coeffs[:, m]
     return _make(k, acc)
 
 
+def _coefficients(u: Jet2, series):
+    """The outer function's Taylor coefficients ``series(u0, order)`` at the
+    constant term; on a batch, an array with one row per point, each row
+    computed by the same scalar code (so elementary functions round exactly
+    as on one point)."""
+    if u.c.ndim == 1:
+        return series(u.value, u.order)
+    return np.array([series(u0, u.order) for u0 in u.c[:, 0].tolist()], dtype=float)
+
+
+def _flip(u: Jet2, negative) -> Jet2:
+    """-u where ``negative`` holds (per row on a batch)."""
+    if isinstance(negative, np.ndarray):
+        return _make(u.order, np.where(negative[:, None], -u.c, u.c))
+    return -u if negative else u
+
+
+def _reciprocal_series(u0: float, order: int):
+    k = np.arange(order + 1)
+    return (-1.0) ** k / u0 ** (k + 1)
+
+
+def _zero_divisor() -> DomainEvalError:
+    return DomainEvalError("division by a jet with zero constant term")
+
+
 def _reciprocal(u: Jet2) -> Jet2:
-    u0 = u.value
-    if u0 == 0.0:
-        raise DomainEvalError("division by a jet with zero constant term")
-    k = np.arange(u.order + 1)
-    coeffs = (-1.0) ** k / u0 ** (k + 1)
-    return _series_apply(u, coeffs)
+    raise_where(u.value == 0.0, _zero_divisor)
+    return _series_apply(u, _coefficients(u, _reciprocal_series))
+
+
+def _exp_series(u0: float, order: int):
+    e0 = math.exp(u0)
+    return [e0 / math.factorial(k) for k in range(order + 1)]
 
 
 def exp(u):
     if isinstance(u, (int, float)):
         return math.exp(u)
-    e0 = math.exp(u.value)
-    coeffs = np.array([e0 / math.factorial(k) for k in range(u.order + 1)])
-    return _series_apply(u, coeffs)
+    return _series_apply(u, _coefficients(u, _exp_series))
+
+
+def _ln_series(u0: float, order: int):
+    coeffs = [math.log(u0)]
+    for k in range(1, order + 1):
+        coeffs.append((-1.0) ** (k + 1) / (k * u0 ** k))
+    return coeffs
 
 
 def ln(u):
@@ -340,43 +473,44 @@ def ln(u):
             raise DomainEvalError(f"log of non-positive value {u}")
         return math.log(u)
     u0 = u.value
-    if u0 <= 0.0:
-        raise DomainEvalError(f"log of non-positive value {u0}")
-    coeffs = np.empty(u.order + 1)
-    coeffs[0] = math.log(u0)
-    for k in range(1, u.order + 1):
-        coeffs[k] = (-1.0) ** (k + 1) / (k * u0 ** k)
-    return _series_apply(u, coeffs)
+    raise_where(u0 <= 0.0, lambda: DomainEvalError(f"log of non-positive value {u0}"))
+    return _series_apply(u, _coefficients(u, _ln_series))
+
+
+def _sin_series(u0: float, order: int):
+    s0, c0 = math.sin(u0), math.cos(u0)
+    cycle = [s0, c0, -s0, -c0]
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
+def _cos_series(u0: float, order: int):
+    s0, c0 = math.sin(u0), math.cos(u0)
+    cycle = [c0, -s0, -c0, s0]
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
 
 
 def sin(u):
     if isinstance(u, (int, float)):
         return math.sin(u)
-    s0, c0 = math.sin(u.value), math.cos(u.value)
-    cycle = [s0, c0, -s0, -c0]
-    coeffs = np.array([cycle[k % 4] / math.factorial(k) for k in range(u.order + 1)])
-    return _series_apply(u, coeffs)
+    return _series_apply(u, _coefficients(u, _sin_series))
 
 
 def cos(u):
     if isinstance(u, (int, float)):
         return math.cos(u)
-    s0, c0 = math.sin(u.value), math.cos(u.value)
-    cycle = [c0, -s0, -c0, s0]
-    coeffs = np.array([cycle[k % 4] / math.factorial(k) for k in range(u.order + 1)])
-    return _series_apply(u, coeffs)
+    return _series_apply(u, _coefficients(u, _cos_series))
 
 
 def _binomial_series(u: Jet2, r: float) -> Jet2:
     """u^r for u with positive constant term, via the binomial series."""
-    u0 = u.value
-    coeffs = np.empty(u.order + 1)
-    acc = u0 ** r
-    coeffs[0] = acc
-    for k in range(1, u.order + 1):
-        acc *= (r - (k - 1)) / k / u0
-        coeffs[k] = acc
-    return _series_apply(u, coeffs)
+    def series(u0: float, order: int):
+        acc = u0 ** r
+        coeffs = [acc]
+        for k in range(1, order + 1):
+            acc *= (r - (k - 1)) / k / u0
+            coeffs.append(acc)
+        return coeffs
+    return _series_apply(u, _coefficients(u, series))
 
 
 def sqrt(u):
@@ -384,8 +518,8 @@ def sqrt(u):
         if u <= 0.0:
             raise DomainEvalError(f"even root of non-positive value {u}")
         return math.sqrt(u)
-    if u.value <= 0.0:
-        raise DomainEvalError(f"even root of non-positive value {u.value}")
+    u0 = u.value
+    raise_where(u0 <= 0.0, lambda: DomainEvalError(f"even root of non-positive value {u0}"))
     return _binomial_series(u, 0.5)
 
 
@@ -395,20 +529,21 @@ def cbrt(u):
         if u == 0.0:
             return 0.0
         return math.copysign(abs(u) ** (1.0 / 3.0), u)
-    if u.value == 0.0:
-        raise DomainEvalError("cube root at a zero constant term is not smooth")
-    if u.value < 0.0:
-        return -_binomial_series(-u, 1.0 / 3.0)
-    return _binomial_series(u, 1.0 / 3.0)
+    u0 = u.value
+    raise_where(u0 == 0.0,
+                lambda: DomainEvalError("cube root at a zero constant term is not smooth"))
+    negative = u0 < 0.0
+    return _flip(_binomial_series(_flip(u, negative), 1.0 / 3.0), negative)
 
 
 def jabs(u):
     """|u| for a value bounded away from zero (sign taken from the constant term)."""
     if isinstance(u, (int, float)):
         return abs(u)
-    if u.value == 0.0:
-        raise DomainEvalError("absolute value at a zero constant term is not smooth")
-    return -u if u.value < 0.0 else u
+    u0 = u.value
+    raise_where(u0 == 0.0,
+                lambda: DomainEvalError("absolute value at a zero constant term is not smooth"))
+    return _flip(u, u0 < 0.0)
 
 
 def asinh(u):
@@ -430,8 +565,9 @@ def real_power(u, r: float):
     if abs(three_r - round(three_r)) < 1e-12:
         m = int(round(three_r))
         return cbrt(u) ** m
-    if u.value <= 0.0:
-        raise DomainEvalError(f"non-integer power {r} of non-positive value {u.value}")
+    u0 = u.value
+    raise_where(u0 <= 0.0,
+                lambda: DomainEvalError(f"non-integer power {r} of non-positive value {u0}"))
     return _binomial_series(u, r)
 
 
@@ -449,8 +585,13 @@ def compose(f: Jet2, phi1: Jet2, phi2: Jet2) -> Jet2:
         raise OrderMismatchError(
             f"outer jet of order {k} needs inner jets of order >= {k}, "
             f"got {phi1.order} and {phi2.order}")
+    if f.c.ndim + phi1.c.ndim + phi2.c.ndim > 3:
+        # a batch (in any of the three jets) is composed row by row
+        rows = max(len(j.c) for j in (f, phi1, phi2) if j.batched)
+        return stack([compose(*(j.row(r) if j.batched else j for j in (f, phi1, phi2)))
+                      for r in range(rows)])
     n = ncoef(k)
-    table = _MUL_TABLES.get((k, k)) or _mul_table(k, k)
+    table = _table(k, k)
     u = phi1.c[:n].copy()
     u[0] = 0.0
     v = phi2.c[:n].copy()

@@ -16,6 +16,11 @@ The LAPACK routines are called directly rather than through
 wrappers' argument checks cost more than the factorization itself.  Each
 coefficient is solved as its own right-hand side, which keeps every
 solution coefficient bit-identical to a one-column ``lu_solve``.
+
+Entries may be batched jets (one row per point).  Each point of a batch is
+then solved on its own with the same LAPACK calls, and points whose
+system is singular make the solve raise
+:class:`~invar3.errors.BatchRowError` naming them.
 """
 
 from __future__ import annotations
@@ -27,14 +32,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dgetrf, dgetrs
 
-from .errors import ConditioningWarning, SingularSymbolError
+from .errors import BatchRowError, ConditioningWarning, SingularSymbolError
 from .jets import Jet2, ncoef
 
 __all__ = ["solve_jet_system", "JetSolveReport"]
 
 
 class JetSolveReport:
-    """Diagnostics of a jet-ring solve: determinant, condition number, residual."""
+    """Diagnostics of a jet-ring solve: determinant, condition number,
+    residual (arrays with one entry per point for a batch)."""
 
     __slots__ = ("det", "cond", "residual")
 
@@ -49,14 +55,30 @@ def _common_order(entries) -> int:
     return min(orders) if orders else 0
 
 
-def _coefficients(entries, nc: int) -> np.ndarray:
-    """Rows of the first ``nc`` Taylor coefficients; numbers are constants."""
+def _coefficients(entries, nc: int) -> np.ndarray | None:
+    """Rows of the first ``nc`` Taylor coefficients; numbers are constants.
+    None when some entry holds a batch."""
     out = np.zeros((len(entries), nc))
     for k, e in enumerate(entries):
         if isinstance(e, Jet2):
-            out[k] = e.c[:nc]
+            c = e.c
+            if c.ndim == 2:
+                return None
+            out[k] = c[:nc]
         else:
             out[k, 0] = e
+    return out
+
+
+def _batch_coefficients(entries, nc: int) -> np.ndarray:
+    """:func:`_coefficients` of a batch, the entries' axis second."""
+    batch = next(len(e.c) for e in entries if isinstance(e, Jet2) and e.c.ndim == 2)
+    out = np.zeros((batch, len(entries), nc))
+    for k, e in enumerate(entries):
+        if isinstance(e, Jet2):
+            out[:, k] = e.c[..., :nc]
+        else:
+            out[:, k, 0] = e
     return out
 
 
@@ -84,15 +106,45 @@ def solve_jet_system(M, b, *, cond_warn: float = 1e12,
     truncation order of the inputs.  Emits :class:`ConditioningWarning`
     when the constant-term matrix has condition number above
     ``cond_warn``; raises :class:`SingularSymbolError` when it is
-    numerically singular.
+    numerically singular (:class:`BatchRowError` naming the singular
+    points of a batch).
     """
     n = len(b)
     entries = [e for row in M for e in row]
     order = min(_common_order(entries), _common_order(b))
     nc = ncoef(order)
-    Mc = _coefficients(entries, nc).reshape(n, n, nc)
-    bc = _coefficients(b, nc)
+    Mc = _coefficients(entries, nc)
+    bc = None if Mc is None else _coefficients(b, nc)
+    if bc is not None:
+        X, det, cond, residual = _solve_point(Mc.reshape(n, n, nc), bc, order,
+                                              cond_warn, singular_message)
+        x = [Jet2._new(order, row) for row in X]
+        return x, JetSolveReport(det=det, cond=cond, residual=residual)
+    # a batch: each point solved on its own
+    system = _batch_coefficients(entries + list(b), nc)
+    batch = len(system)
+    Mc = system[:, :n * n].reshape(batch, n, n, nc)
+    bc = system[:, n * n:]
+    X = np.empty((batch, n, nc))
+    det, cond, residual = np.empty(batch), np.empty(batch), np.empty(batch)
+    singular = []
+    for r in range(batch):
+        try:
+            X[r], det[r], cond[r], residual[r] = _solve_point(
+                Mc[r], bc[r], order, cond_warn, singular_message)
+        except SingularSymbolError:
+            singular.append(r)
+    if singular:
+        raise BatchRowError(singular)
+    x = [Jet2._new(order, X[:, i]) for i in range(n)]
+    return x, JetSolveReport(det=det, cond=cond, residual=residual)
 
+
+def _solve_point(Mc: np.ndarray, bc: np.ndarray, order: int, cond_warn: float,
+                 singular_message: str) -> tuple:
+    """The solve at one point: coefficient arrays ``Mc`` (n, n, ncoef) and
+    ``bc`` (n, ncoef) in, ``(X, det, cond, residual)`` out."""
+    n, nc = bc.shape
     M0 = Mc[:, :, 0]
     lu, piv, info = dgetrf(M0)
     if info < 0 or not np.isfinite(lu).all():
@@ -106,7 +158,7 @@ def solve_jet_system(M, b, *, cond_warn: float = 1e12,
         raise SingularSymbolError(singular_message)
     if cond > cond_warn:
         warnings.warn(f"condition number {cond:.3g} exceeds {cond_warn:.1g}",
-                      ConditioningWarning, stacklevel=2)
+                      ConditioningWarning, stacklevel=3)
 
     X = np.zeros((n, nc))
     for k, terms in _recurrence(order):
@@ -119,7 +171,5 @@ def solve_jet_system(M, b, *, cond_warn: float = 1e12,
     scale = max(1.0, float(np.abs(bc).max()), float(np.abs(Mc).max()))
     if residual > 1e-8 * scale:
         warnings.warn(f"solve residual {residual:.3g} above 1e-8 of scale {scale:.3g}",
-                      ConditioningWarning, stacklevel=2)
-
-    x = [Jet2._new(order, row) for row in X]
-    return x, JetSolveReport(det=det, cond=cond, residual=residual)
+                      ConditioningWarning, stacklevel=3)
+    return X, det, cond, residual

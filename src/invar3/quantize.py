@@ -29,14 +29,14 @@ from typing import Any
 
 from .connection import AffineConnection, OneForm, chern_connection, wagner_connection
 from .errors import JetOrderError
-from .expr import coefficient_field
+from .expr import coefficient_field, field_at
 from .jets import Jet2
-from .symbol import Symbol3, norm_of
+from .symbol import Symbol3, max_of, norm_of
 
 __all__ = [
     "Operator3", "TotalSymbol", "FormalOperator",
-    "sym_derivation", "quantize", "split", "subsymbol", "apply_operator",
-    "RAW_SLOTS",
+    "sym_derivation", "quantize", "quantize_sum", "split", "subsymbol",
+    "apply_operator", "RAW_SLOTS",
 ]
 
 # stored-slot name -> (multi-index, binomial weight): raw d^alpha coefficient
@@ -69,8 +69,10 @@ class Operator3:
     def components(self) -> tuple:
         return tuple(getattr(self, n) for n in _SLOT_NAMES)
 
-    def at(self, x: float, y: float, order: int) -> "Operator3":
-        return Operator3(*(coefficient_field(c)(x, y, order) for c in self.components))
+    def at(self, x, y, order: int) -> "Operator3":
+        """Jets of the coefficients at a point, or batched jets at a
+        sequence of points."""
+        return Operator3(*(field_at(c, x, y, order) for c in self.components))
 
     def map(self, fn) -> "Operator3":
         return Operator3(*(fn(c) for c in self.components))
@@ -92,8 +94,8 @@ class Operator3:
             vals[name] = raw.get(alpha, 0.0) * (1.0 / weight)
         return cls(**vals)
 
-    def norm(self) -> float:
-        return max(norm_of(c) for c in self.components)
+    def norm(self):
+        return max_of(norm_of(c) for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -126,13 +128,6 @@ class FormalOperator:
             if alpha[0] + alpha[1] > 3:
                 raise ValueError(f"multi-index {alpha} out of range for a 3rd-order operator")
         return Operator3.from_raw(self.coeffs)
-
-    def apply_to_jet(self, f: Jet2):
-        """Contract the coefficients against the raw partials of a 3-jet."""
-        total = 0.0
-        for (i, j), c in self.coeffs.items():
-            total = total + c * f.partial(i, j)
-        return total
 
 
 # -- the symmetric derivation -----------------------------------------------------
@@ -340,3 +335,14 @@ def apply_operator(op: Operator3, f, p: tuple[float, float], *, order: int = 3):
             v = coefficient_field(c)(p[0], p[1], 0).value
         total += v * weight * fj.partial(*alpha)
     return total
+
+
+def quantize_sum(total: TotalSymbol, gamma: AffineConnection,
+                 theta: OneForm | None = None) -> Operator3:
+    """Assemble an operator from a total symbol against a connection (the
+    inverse of :func:`split`)."""
+    raw: dict = {}
+    for part in (total.sigma3, total.sigma2, total.sigma1, total.sigma0):
+        for alpha, c in quantize(part, gamma, theta).coeffs.items():
+            raw[alpha] = raw.get(alpha, 0.0) + c
+    return Operator3.from_raw(raw)

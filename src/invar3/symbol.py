@@ -7,36 +7,50 @@ A symbol is stored through four coefficients (a1, a2, a3, a4) of
 (symmetric products of coordinate vector fields; the binomial factors 3 are
 part of the convention).  Components may be numbers or jets for pointwise
 work, or expressions/callables for fields.  All algebra here is polymorphic
-over those kinds.
+over those kinds, and over batched jets (one row per point), for which the
+values, norms and checks below hold one entry per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Any
 
+import numpy as np
+
 from . import jets
-from .errors import SingularSymbolError
-from .expr import coefficient_field
+from .errors import SingularSymbolError, raise_where
+from .expr import field_at
 from .jets import Jet2
 
 __all__ = [
     "Symbol3", "Sym2Form", "SymbolKind", "Classification",
     "discriminant", "classify", "hessian", "hessian2",
     "wagner_metric", "scaled_hessian",
-    "value_of", "norm_of",
+    "value_of", "norm_of", "max_of",
 ]
 
 
-def value_of(v) -> float:
+def value_of(v):
     """Constant term of a jet, or the number itself."""
     return v.value if isinstance(v, Jet2) else float(v)
 
 
-def norm_of(v) -> float:
+def norm_of(v):
     """Max-norm of a jet's coefficients, or |number|."""
     return v.norm() if isinstance(v, Jet2) else abs(float(v))
+
+
+def max_of(values):
+    """The largest of the values; row by row where some hold one value per
+    row of a batch."""
+    values = tuple(values)
+    try:
+        return max(values)
+    except ValueError:  # comparing per-row arrays has no single truth value
+        return reduce(np.maximum, values)
 
 
 @dataclass(frozen=True)
@@ -52,9 +66,10 @@ class Symbol3:
     def components(self) -> tuple:
         return (self.a1, self.a2, self.a3, self.a4)
 
-    def at(self, x: float, y: float, order: int) -> "Symbol3":
-        """Evaluate field-form components to jets at a point."""
-        return Symbol3(*(coefficient_field(c)(x, y, order) for c in self.components))
+    def at(self, x, y, order: int) -> "Symbol3":
+        """Evaluate field-form components to jets at a point, or to batched
+        jets at a sequence of points."""
+        return Symbol3(*(field_at(c, x, y, order) for c in self.components))
 
     def map(self, fn) -> "Symbol3":
         return Symbol3(*(fn(c) for c in self.components))
@@ -62,8 +77,8 @@ class Symbol3:
     def scale(self, factor) -> "Symbol3":
         return self.map(lambda c: c * factor)
 
-    def norm(self) -> float:
-        return max(norm_of(c) for c in self.components)
+    def norm(self):
+        return max_of(norm_of(c) for c in self.components)
 
     def __add__(self, other: "Symbol3") -> "Symbol3":
         return Symbol3(*(a + b for a, b in zip(self.components, other.components)))
@@ -118,8 +133,8 @@ class Sym2Form:
         flipped = "co" if self.variance == "contra" else "contra"
         return Sym2Form(self.g22 / d, -self.g12 / d, self.g11 / d, flipped)
 
-    def norm(self) -> float:
-        return max(norm_of(c) for c in self.components)
+    def norm(self):
+        return max_of(norm_of(c) for c in self.components)
 
 
 class SymbolKind(Enum):
@@ -231,9 +246,8 @@ def scaled_hessian(sigma: Symbol3, k: float, *, threshold: float = 1e-12) -> Sym
     return Sym2Form(h.g11 * w, h.g12 * w, h.g22 * w, variance="contra")
 
 
-def _require_regular(delta, scale: float, threshold: float) -> None:
+def _require_regular(delta, scale, threshold: float) -> None:
     d = value_of(delta)
-    floor = threshold * max(scale, 1e-300) ** 4
-    if abs(d) <= floor:
-        raise SingularSymbolError(
-            f"symbol is singular: |discriminant| = {abs(d):.3g} <= {floor:.3g}")
+    floor = threshold * max_of((scale, 1e-300)) ** 4
+    raise_where(abs(d) <= floor, lambda: SingularSymbolError(
+        f"symbol is singular: |discriminant| = {abs(d):.3g} <= {floor:.3g}"))
