@@ -17,12 +17,11 @@ from pathlib import Path
 from . import __version__
 from .equivalence import (DomainGrid, EquivConfig, equation_equivalent,
                           equivalent_bundle, equivalent_scalar)
-from .errors import (DomainEvalError, GeneralPositionError, Invar3Error,
-                     ParseError, RegularityError, SingularSymbolError)
+from .errors import Invar3Error, ParseError
 from .expr import parse
-from .invariants import (basic_invariants, conformal_invariants,
-                         operator_invariants)
-from .quantize import Operator3, quantize_sum, split
+from .invariants import (_POINT_ERRORS, basic_invariants,
+                         conformal_invariants, operator_invariants)
+from .quantize import Operator3, _connection_for, quantize_sum, split
 from .symbol import Symbol3, classify, value_of
 
 SCHEMA_VERSION = 1
@@ -60,11 +59,15 @@ def load_spec(path: str) -> dict:
         text = coeffs[name]
         if isinstance(text, (int, float)):
             text = repr(float(text))
+        if not isinstance(text, str):
+            raise SpecError(f"coefficient {name} must be an expression string or a number")
         try:
             parsed[name] = parse(text)
         except ParseError as err:
             raise SpecError(f"coefficient {name}: {err}") from err
     dom = raw.get("domain", {})
+    if not isinstance(dom, dict):
+        raise SpecError("the 'domain' block must be a JSON object")
     try:
         grid = DomainGrid(float(dom.get("x", [0.0, 1.0])[0]),
                           float(dom.get("x", [0.0, 1.0])[1]),
@@ -73,11 +76,17 @@ def load_spec(path: str) -> dict:
                           int(dom.get("nx", 8)), int(dom.get("ny", 8)))
     except (ValueError, TypeError, IndexError) as err:
         raise SpecError(f"bad domain block: {err}") from err
+    overrides = raw.get("tolerances", {})
+    if not isinstance(overrides, dict):
+        raise SpecError("the 'tolerances' block must be a JSON object")
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, v in raw.get("tolerances", {}).items():
+    for key, v in overrides.items():
         if key not in tolerances:
             raise SpecError(f"unknown tolerance override {key!r}")
-        tolerances[key] = float(v)
+        try:
+            tolerances[key] = float(v)
+        except (ValueError, TypeError) as err:
+            raise SpecError(f"tolerance {key}: {err}") from err
     return {
         "operator": Operator3(**parsed),
         "grid": grid,
@@ -118,6 +127,20 @@ def _point_record(x: float, y: float, payload: dict) -> dict:
     return {"x": x, "y": y, **payload}
 
 
+def _grid_records(grid: DomainGrid, values_at) -> tuple[list, int]:
+    """One record per grid point, holding ``values_at(x, y)`` or the reason
+    the point is masked, and the number of masked points."""
+    records = []
+    masked = 0
+    for x, y in grid.points():
+        try:
+            records.append(_point_record(x, y, {"values": values_at(x, y), "regular": True}))
+        except _POINT_ERRORS as err:
+            records.append(_point_record(x, y, {"regular": False, "reason": str(err)}))
+            masked += 1
+    return records, masked
+
+
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_classify(args) -> int:
@@ -127,19 +150,12 @@ def cmd_classify(args) -> int:
     threshold = spec["tolerances"]["classify_threshold"]
     records = []
     errors = []
-
-    def one(pt):
-        x, y = pt
+    for x, y in spec["grid"].points():
         try:
-            sp = sym.at(x, y, 0)
-            c = classify(sp, threshold)
-            return _point_record(x, y, {"kind": c.kind.value, "delta": c.delta})
-        except (DomainEvalError, Invar3Error) as err:
-            return _point_record(x, y, {"error": str(err)})
-
-    for pt in spec["grid"].points():
-        rec = one(pt)
-        (errors if "error" in rec else records).append(rec)
+            c = classify(sym.at(x, y, 0), threshold)
+            records.append(_point_record(x, y, {"kind": c.kind.value, "delta": c.delta}))
+        except Invar3Error as err:
+            errors.append(_point_record(x, y, {"error": str(err)}))
     doc = document("classify", spec["echo"],
                    {"threshold": threshold, "tolerances": spec["tolerances"]},
                    {"points": records, "domain_errors": errors})
@@ -161,35 +177,25 @@ def cmd_invariants(args) -> int:
     op: Operator3 = spec["operator"]
     sym = Symbol3(*op.components[:4])
     mode = args.mode
-    records = []
-    masked = 0
 
-    def one(pt):
-        x, y = pt
-        try:
-            if mode == "symbol":
-                iv = basic_invariants(sym, x, y)
-                payload = {f"I{k + 1}": v for k, v in enumerate(iv.values())}
-            elif mode == "conformal":
-                iv = conformal_invariants(sym, x, y)
-                payload = {f"I{k + 1}": value_of(c) for k, c in enumerate(iv.components)}
-                payload["pivot"] = iv.pivot
-                payload.update({f"ratio{k + 1}": r for k, r in enumerate(iv.ratios)})
-            else:
-                inv = operator_invariants(op, x, y,
-                                          mode="bundle" if mode == "bundle" else "scalar")
-                payload = inv.flat()
-            if args.check:
-                payload["checks"] = _residual_checks(sym, x, y)
-            return _point_record(x, y, {"values": payload, "regular": True})
-        except (Invar3Error, ZeroDivisionError, FloatingPointError) as err:
-            return _point_record(x, y, {"regular": False, "reason": str(err)})
+    def values_at(x, y):
+        if mode == "symbol":
+            iv = basic_invariants(sym, x, y)
+            payload = {f"I{k + 1}": v for k, v in enumerate(iv.values())}
+        elif mode == "conformal":
+            iv = conformal_invariants(sym, x, y)
+            payload = {f"I{k + 1}": value_of(c) for k, c in enumerate(iv.components)}
+            payload["pivot"] = iv.pivot
+            payload.update({f"ratio{k + 1}": r for k, r in enumerate(iv.ratios)})
+        else:
+            inv = operator_invariants(op, x, y,
+                                      mode="bundle" if mode == "bundle" else "scalar")
+            payload = inv.flat()
+        if args.check:
+            payload["checks"] = _residual_checks(sym, x, y)
+        return payload
 
-    for pt in spec["grid"].points():
-        rec = one(pt)
-        records.append(rec)
-        if not rec["regular"]:
-            masked += 1
+    records, masked = _grid_records(spec["grid"], values_at)
     doc = document("invariants", spec["echo"],
                    {"mode": mode, "check": bool(args.check),
                     "tolerances": spec["tolerances"]},
@@ -233,39 +239,23 @@ def _residual_checks(sym: Symbol3, x: float, y: float) -> dict:
 def cmd_split(args) -> int:
     spec = load_spec(args.spec)
     op: Operator3 = spec["operator"]
-    records = []
-    singular = 0
 
-    def one(pt):
-        x, y = pt
-        try:
-            opp = op.at(x, y, 2)
-            ts = split(opp, args.connection)
-            if args.connection == "chern":
-                from .connection import chern_connection
-                gamma, _ = chern_connection(opp.principal_symbol())
-            else:
-                from .connection import wagner_connection
-                gamma = wagner_connection(opp.principal_symbol())
-            back = quantize_sum(ts, gamma)
-            resid = max(abs(value_of(getattr(opp, n)) - value_of(getattr(back, n)))
-                        for n in COEFF_NAMES)
-            payload = {
-                "sigma3": [value_of(c) for c in ts.sigma3.components],
-                "sigma2": [value_of(c) for c in ts.sigma2],
-                "sigma1": [value_of(c) for c in ts.sigma1],
-                "sigma0": value_of(ts.sigma0),
-                "roundtrip_residual": resid,
-            }
-            return _point_record(x, y, {"values": payload, "regular": True})
-        except (SingularSymbolError, RegularityError, Invar3Error) as err:
-            return _point_record(x, y, {"regular": False, "reason": str(err)})
+    def values_at(x, y):
+        opp = op.at(x, y, 2)
+        gamma = _connection_for(opp.principal_symbol(), args.connection)
+        ts = split(opp, gamma=gamma)
+        back = quantize_sum(ts, gamma)
+        resid = max(abs(value_of(getattr(opp, n)) - value_of(getattr(back, n)))
+                    for n in COEFF_NAMES)
+        return {
+            "sigma3": [value_of(c) for c in ts.sigma3.components],
+            "sigma2": [value_of(c) for c in ts.sigma2],
+            "sigma1": [value_of(c) for c in ts.sigma1],
+            "sigma0": value_of(ts.sigma0),
+            "roundtrip_residual": resid,
+        }
 
-    for pt in spec["grid"].points():
-        rec = one(pt)
-        records.append(rec)
-        if not rec["regular"]:
-            singular += 1
+    records, singular = _grid_records(spec["grid"], values_at)
     doc = document("split", spec["echo"],
                    {"connection": args.connection, "tolerances": spec["tolerances"]},
                    {"points": records, "masked_points": singular})
@@ -299,8 +289,7 @@ def cmd_equiv(args) -> int:
     try:
         verdict = runner(spec_a["operator"], spec_b["operator"],
                          spec_a["grid"], spec_b["grid"], tol=tol, config=config)
-    except (GeneralPositionError, RegularityError, SingularSymbolError,
-            Invar3Error) as err:
+    except Invar3Error as err:
         doc = document("equiv", {"a": spec_a["echo"], "b": spec_b["echo"]},
                        {"mode": args.mode, "tolerance": tol},
                        {"verdict": "inconclusive", "error": str(err)})
@@ -375,9 +364,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except SpecError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 3
-    except ParseError as err:
         print(f"input error: {err}", file=sys.stderr)
         return 3
 

@@ -173,6 +173,23 @@ def covariant_derivative_sym3(gamma: AffineConnection, sigma: Symbol3) -> list:
 
 # -- the two canonical solves ---------------------------------------------------
 
+# (nabla_l sigma)_m = d_l sigma_m + sum of factor * Gamma^k_{i l} * sigma_n over
+# the entries (k, i, factor, n) of row m, for the components m = (111), (112),
+# (122), (222); both canonical solves are built from this table
+_NABLA_SIGMA = (
+    ((1, 1, 3, 0), (1, 2, 3, 1)),
+    ((1, 1, 2, 1), (1, 2, 2, 2), (2, 1, 1, 0), (2, 2, 1, 1)),
+    ((1, 1, 1, 2), (1, 2, 1, 3), (2, 1, 2, 1), (2, 2, 2, 2)),
+    ((2, 1, 3, 2), (2, 2, 3, 3)),
+)
+
+
+def _nabla_sigma_weights(s: tuple) -> list:
+    """Per component, the ((k, i), weight on Gamma^k_{i l}) pairs at the cubic."""
+    return [[((k, i), s[n] if factor == 1 else factor * s[n]) for k, i, factor, n in row]
+            for row in _NABLA_SIGMA]
+
+
 def parallel_system(sigma: Symbol3):
     """Matrix and right-hand side of the parallel-transport system.
 
@@ -180,19 +197,13 @@ def parallel_system(sigma: Symbol3):
     G^2_12, G^2_22) -- the x-direction block then the y-direction block.
     The determinant of the assembled matrix is 81 * discriminant^2.
     """
-    s0, s1, s2, s3 = sigma.components
     zero = 0.0
-    block = [
-        [3 * s0, 3 * s1, zero, zero],
-        [2 * s1, 2 * s2, s0, s1],
-        [s2, s3, 2 * s1, 2 * s2],
-        [zero, zero, 3 * s2, 3 * s3],
-    ]
     M = [[zero] * 8 for _ in range(8)]
-    for r in range(4):
-        for c in range(4):
-            M[r][c] = block[r][c]
-            M[4 + r][4 + c] = block[r][c]
+    for r, weights in enumerate(_nabla_sigma_weights(sigma.components)):
+        for (k, i), weight in weights:
+            c = 2 * (k - 1) + (i - 1)
+            M[r][c] = weight
+            M[4 + r][4 + c] = weight
     dx = [c.dx() for c in sigma.components]
     dy = [c.dy() for c in sigma.components]
     rhs = [-v for v in dx] + [-v for v in dy]
@@ -226,14 +237,7 @@ def conformal_system(sigma: Symbol3):
     """
     s = sigma.components
     zero = 0.0
-    # per-component collections of (weight on G^k_{i l}) with k, i one-based:
-    # component (111): 3 G^1_{1l} s0 + 3 G^1_{2l} s1, etc.
-    patterns = [
-        [((1, 1), 3 * s[0]), ((1, 2), 3 * s[1])],
-        [((1, 1), 2 * s[1]), ((1, 2), 2 * s[2]), ((2, 1), s[0]), ((2, 2), s[1])],
-        [((1, 1), s[2]), ((1, 2), s[3]), ((2, 1), 2 * s[1]), ((2, 2), 2 * s[2])],
-        [((2, 1), 3 * s[2]), ((2, 2), 3 * s[3])],
-    ]
+    patterns = _nabla_sigma_weights(s)
     sym_col = {(1, 1, 1): 0, (1, 1, 2): 1, (1, 2, 1): 1, (1, 2, 2): 2,
                (2, 1, 1): 3, (2, 1, 2): 4, (2, 2, 1): 4, (2, 2, 2): 5}
     rows, rhs = [], []

@@ -28,8 +28,8 @@ from .errors import (GeneralPositionError, Invar3Error, InverseMismatchError,
                      NonPositiveScaleError, RegularityError, ZeroCrossingError,
                      raise_where)
 from .expr import Expr, coefficient_field
-from .invariants import (conformal_frame_data, cubic_in_basis,
-                         decompose_cubic, symbol_coframe_point)
+from .invariants import (conformal_frame_data, decompose_cubic,
+                         symbol_coframe_point)
 from .jets import Jet2, as_jet, compose, real_power
 from .jets import asinh as jet_asinh
 from .linalg import solve_jet_system
@@ -92,7 +92,6 @@ class EquivConfig:
     min_matched_points: int = 12
     max_matched_points: int = 36
     compare_resolution: int = 16
-    obstruction_resolution: int = 5
     newton_tol: float = 1e-12
     newton_max_iter: int = 40
     domain_pad: float = 0.2
@@ -145,10 +144,6 @@ class NaturalModel:
         if self._tri is None:
             self._tri = Delaunay(self.values_masked)
         return self._tri
-
-    def hull_vertices(self) -> np.ndarray:
-        tri = self.triangulation()
-        return self.values_masked[np.unique(tri.convex_hull.ravel())]
 
     def contains_coord(self, pts: np.ndarray) -> np.ndarray:
         return self.triangulation().find_simplex(pts) >= 0
@@ -366,30 +361,10 @@ def _raw_slot_operator(raw_at: Callable) -> Operator3:
 
 def pushforward_symbol(sym: Symbol3, phi, phi_inv,
                        window: DomainGrid | None = None) -> Symbol3:
-    """Transport a cubic symbol field along a diffeomorphism (tensor law)."""
-    if window is not None:
-        _check_mutual_inverse(phi, phi_inv, window)
-    fwd = [coefficient_field(c) for c in phi]
-    bwd = [coefficient_field(c) for c in phi_inv]
-    comp_fields = [coefficient_field(c) for c in sym.components]
-
-    def component(idx: int):
-        def f(x, y, order):
-            inv1 = bwd[0](x, y, order)
-            inv2 = bwd[1](x, y, order)
-            px, py = inv1.value, inv2.value
-            f1 = fwd[0](px, py, order + 1)
-            f2 = fwd[1](px, py, order + 1)
-            u = (f1.dx(), f2.dx())   # first rows of the Jacobian columns
-            v = (f1.dy(), f2.dy())
-            comps = tuple(cf(px, py, order) for cf in comp_fields)
-            new = cubic_in_basis(comps, (u[0], v[0]), (u[1], v[1]))
-            j = new[idx]
-            j = j if isinstance(j, Jet2) else Jet2.constant(j, order)
-            return compose(j.truncated(min(j.order, order)), inv1, inv2)
-        return f
-
-    return Symbol3(component(0), component(1), component(2), component(3))
+    """Transport a cubic symbol field along a diffeomorphism (tensor law):
+    the principal part of :func:`pushforward_operator`."""
+    op = Operator3(*sym.components, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return pushforward_operator(op, phi, phi_inv, window).principal_symbol()
 
 
 def gauge_transform(op: Operator3, h, window: DomainGrid | None = None,
@@ -472,12 +447,16 @@ def line_bundle_connection(op_field: Operator3, p: tuple[float, float], *,
     coordinates of ``p`` may be sequences of points: the jets are then
     batched, one row per point.
     """
+    return _line_bundle_solve(op_field.at(p[0], p[1], max(2, extra_order + 1)), chern)
+
+
+def _line_bundle_solve(opp: Operator3, chern: AffineConnection | None) -> tuple[OneForm, Any]:
+    """:func:`line_bundle_connection` on the operator's coefficient jets
+    (of order m >= 2), giving jets of order m - 1."""
     from .symbol import scaled_hessian
 
-    m = max(2, extra_order + 1)
-    opp = op_field.at(p[0], p[1], m)
     sigma3 = opp.principal_symbol()
-    sub0 = subsymbol(opp, None, None if chern is None else chern.truncated(m - 1))
+    sub0 = subsymbol(opp, None, None if chern is None else chern.truncated(opp.a1.order - 1))
     g = scaled_hessian(sigma3, -1.0 / 3.0)
     a1, a2, a3, a4 = sigma3.components
     M = [
@@ -590,21 +569,19 @@ def _stage_one(op_field: Operator3, grid: DomainGrid, order: int = 1):
     return pts, records
 
 
+def _clears_floor(grads: np.ndarray, pair, floor: float) -> bool:
+    """Whether the Jacobian of the candidate pair clears the relative floor."""
+    i, j = pair
+    det = grads[i, 0] * grads[j, 1] - grads[i, 1] * grads[j, 0]
+    scale = (np.hypot(*grads[i]) * np.hypot(*grads[j])) + 1e-300
+    return bool(abs(det) >= floor * scale)
+
+
 def _pair_quality(stage, pair, floor: float):
     """Fraction of usable points where the pair's Jacobian clears the floor."""
-    i, j = pair
-    ok = 0
-    total = 0
-    for rec in stage:
-        if rec is None:
-            continue
-        total += 1
-        grads = rec[1]
-        det = grads[i, 0] * grads[j, 1] - grads[i, 1] * grads[j, 0]
-        scale = (np.hypot(*grads[i]) * np.hypot(*grads[j])) + 1e-300
-        if abs(det) >= floor * scale:
-            ok += 1
-    return (ok / max(total, 1)), total, ok
+    usable = [rec for rec in stage if rec is not None]
+    ok = sum(_clears_floor(rec[1], pair, floor) for rec in usable)
+    return (ok / max(len(usable), 1)), len(usable), ok
 
 
 def _select_pair(stages: list, n_points: list, cfg: EquivConfig) -> tuple[int, int]:
@@ -743,9 +720,7 @@ def _assemble_model(op_field, grid, mode, selection, cfg, pts, stage,
         vals, grads = rec[:2]
         if max(abs(vals[i_sel]), abs(vals[j_sel])) > cfg.coordinate_cap:
             continue
-        det = grads[i_sel, 0] * grads[j_sel, 1] - grads[i_sel, 1] * grads[j_sel, 0]
-        scale = (np.hypot(*grads[i_sel]) * np.hypot(*grads[j_sel])) + 1e-300
-        if abs(det) < cfg.jacobian_floor * scale:
+        if not _clears_floor(grads, selection, cfg.jacobian_floor):
             continue
         kept.append(k)
 

@@ -386,18 +386,14 @@ def eval_jet(e: Expr, p: tuple[float, float], order: int = 5) -> Jet2:
     pipeline (a frame derivative of a conformal invariant); pass exactly
     what a computation needs to avoid paying for unused orders.
     """
-    result = _eval(e, Jet2.variable(p[0], 0, order), Jet2.variable(p[1], 1, order))
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression node: {e!r}")
+    result = e._jet(Jet2.variable(p[0], 0, order), Jet2.variable(p[1], 1, order))
     if isinstance(result, (int, float)):
         result = Jet2.constant(result, order)
     if not result.is_finite():
         raise DomainEvalError(f"evaluation of {e} at {p} produced non-finite coefficients")
     return result
-
-
-def _eval(e: Expr, xj: Jet2, yj: Jet2):
-    if not isinstance(e, Expr):
-        raise TypeError(f"not an expression node: {e!r}")
-    return e._jet(xj, yj)
 
 
 # -- symbolic differentiation ---------------------------------------------------

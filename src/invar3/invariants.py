@@ -442,7 +442,7 @@ def _per_point(compute: Callable, xs: list, ys: list) -> list:
 
 def _operator_invariants(op_field: Operator3, x, y, mode: str,
                          rel_tol: float) -> OperatorInvariants:
-    from .equivalence import line_bundle_connection  # cycle-free at call time
+    from .equivalence import _line_bundle_solve  # cycle-free at call time
 
     sym_field = Symbol3(*(c for c in op_field.components[:4]))
     data = conformal_frame_data(sym_field, x, y, rel_tol=rel_tol)
@@ -450,19 +450,20 @@ def _operator_invariants(op_field: Operator3, x, y, mode: str,
     # the frame's Chern connection, truncated, serves every later split:
     # truncated jet solves are prefixes of the deeper one
     chern = data.gamma
-    theta_xi = None
+    theta_xi = k_inv = None
     if mode == "scalar":
         opp = op_field.at(x, y, 2)
-        ts = split(opp, "chern", gamma=chern.truncated(1))
-        k_inv = None
     elif mode == "bundle":
-        theta_xi, _lam = line_bundle_connection(op_field, (x, y), extra_order=2, chern=chern)
-        opp = op_field.at(x, y, 2)
-        ts = split(opp, "chern", theta=theta_xi, gamma=chern.truncated(1))
+        # the line-bundle solve reads the coefficients one order deeper
+        # than the split, which takes their truncation
+        opp3 = op_field.at(x, y, 3)
+        theta_xi, _lam = _line_bundle_solve(opp3, chern)
+        opp = opp3.map(lambda c: c.truncated(2))
         k_density = exterior_derivative(theta_xi).r
         k_inv = k_density / frame.area_density()
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    ts = split(opp, "chern", theta=theta_xi, gamma=chern.truncated(1))
     return OperatorInvariants(
         sigma3=decompose_cubic(ts.sigma3, frame),
         sigma2=decompose_quadratic(ts.sigma2, frame),

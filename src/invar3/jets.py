@@ -47,17 +47,6 @@ def pack_index(i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _grading(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of (i, j) exponents in packed order."""
-    ii, jj = [], []
-    for t in range(order + 1):
-        for j in range(t + 1):
-            ii.append(t - j)
-            jj.append(j)
-    return np.array(ii), np.array(jj)
-
-
-@lru_cache(maxsize=None)
 def _conv_table(ka: int, kb: int, kout: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index triples (out, a, b) realizing truncated 2D convolution."""
     out_idx, a_idx, b_idx = [], [], []

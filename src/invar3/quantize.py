@@ -132,18 +132,6 @@ class FormalOperator:
 
 # -- the symmetric derivation -----------------------------------------------------
 
-def _dx_of(v):
-    if isinstance(v, Jet2):
-        return v.dx()
-    return None  # derivative of a plain number is dropped
-
-
-def _dy_of(v):
-    if isinstance(v, Jet2):
-        return v.dy()
-    return None
-
-
 def sym_derivation(gamma: AffineConnection, theta: OneForm | None = None):
     """Return the one-step applier of the symmetric derivation.
 
@@ -167,16 +155,14 @@ def sym_derivation(gamma: AffineConnection, theta: OneForm | None = None):
             for (i, j), c in lin.items():
                 # w1 (d_x + theta1)
                 acc((p + 1, q), (i + 1, j), c)
-                dc = _dx_of(c)
-                if dc is not None:
-                    acc((p + 1, q), (i, j), dc)
+                if isinstance(c, Jet2):
+                    acc((p + 1, q), (i, j), c.dx())
                 if theta is not None:
                     acc((p + 1, q), (i, j), c * theta.t1)
                 # w2 (d_y + theta2)
                 acc((p, q + 1), (i, j + 1), c)
-                dc = _dy_of(c)
-                if dc is not None:
-                    acc((p, q + 1), (i, j), dc)
+                if isinstance(c, Jet2):
+                    acc((p, q + 1), (i, j), c.dy())
                 if theta is not None:
                     acc((p, q + 1), (i, j), c * theta.t2)
                 # -Gamma^l_{jk} w_j w_k d_{w_l}, ordered pairs (j, k)

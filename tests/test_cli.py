@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from invar3.cli import main
 
 HYP = {
@@ -167,6 +169,19 @@ def test_bad_expression_exit_3(tmp_path, capsys):
     spec = write_spec(tmp_path, "broken.json", broken)
     assert main(["classify", spec]) == 3
     assert "a1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"tolerances": 5},
+    {"tolerances": {"equivalence": "abc"}},
+    {"domain": [0, 1]},
+    {"coefficients": dict(CONST["coefficients"], a2=None)},
+], ids=["tolerances-not-object", "tolerance-not-number", "domain-not-object",
+        "null-coefficient"])
+def test_malformed_spec_exit_3(tmp_path, capsys, change):
+    spec = write_spec(tmp_path, "broken.json", {**CONST, **change})
+    assert main(["classify", spec]) == 3
+    assert "input error" in capsys.readouterr().err
 
 
 def test_documents_are_byte_identical(tmp_path):

@@ -2,21 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (X, Y, image_box, random_diffeo, random_gauge,
-                      random_operator, random_three_root_symbol, rng_for)
+                      random_operator, random_regular_symbol,
+                      random_three_root_symbol, rng_for)
 from invar3.connection import OneForm
 from invar3.equivalence import (DomainGrid, EquivConfig, build_natural_model,
                                 equation_equivalent, equivalent_bundle,
                                 equivalent_scalar, gauge_transform,
                                 line_bundle_connection, normalize,
-                                pushforward_operator, scale_operator)
+                                pushforward_operator, pushforward_symbol,
+                                scale_operator)
 from invar3.errors import (GeneralPositionError, InverseMismatchError,
                            NonPositiveScaleError, ZeroCrossingError)
 from invar3.expr import coefficient_field, cos as ecos
 from invar3.expr import exp as eexp
 from invar3.expr import sin as esin
-from invar3.jets import Jet2
+from invar3.invariants import cubic_in_basis
+from invar3.jets import Jet2, compose
 from invar3.quantize import Operator3
 from invar3.symbol import Symbol3
 
@@ -92,6 +97,28 @@ def test_pushforward_shear_first_order():
     pt = (0.5, 0.6)
     assert val(moved.at(*pt, 0).c1) == pytest.approx(1.0, abs=1e-12)
     assert val(moved.at(*pt, 0).c2) == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10 ** 6), st.integers(0, 3), st.floats(0.2, 0.8), st.floats(0.2, 0.8))
+def test_pushforward_symbol_follows_the_tensor_law(seed, order, x, y):
+    """The symbol transport (the principal part of the operator transport)
+    against the tensor law written out: the cubic in the basis of the
+    Jacobian rows, composed with the inverse map, to 1e-12 relative."""
+    rng = rng_for(seed)
+    sym = random_regular_symbol(rng)
+    phi, phinv = random_diffeo(rng)
+    got = pushforward_symbol(sym, phi, phinv, GRID).at(x, y, order)
+    inv1, inv2 = (coefficient_field(c)(x, y, order) for c in phinv)
+    px, py = inv1.value, inv2.value
+    f1, f2 = (coefficient_field(c)(px, py, order + 1) for c in phi)
+    law = cubic_in_basis(sym.at(px, py, order).components,
+                         (f1.dx(), f1.dy()), (f2.dx(), f2.dy()))
+    for g, w in zip(got.components, law):
+        want = compose(w, inv1, inv2)
+        assert g.order == want.order == order
+        scale = max(1.0, float(np.max(np.abs(want.c))))
+        assert np.max(np.abs(g.c - want.c)) <= 1e-12 * scale
 
 
 def test_pushforward_inverse_mismatch():
