@@ -17,10 +17,10 @@ from pathlib import Path
 from . import __version__
 from .equivalence import (DomainGrid, EquivConfig, equation_equivalent,
                           equivalent_bundle, equivalent_scalar)
-from .errors import Invar3Error, ParseError
+from .errors import Invar3Error, ParseError, masked
 from .expr import parse
-from .invariants import (_POINT_ERRORS, basic_invariants,
-                         conformal_invariants, operator_invariants)
+from .invariants import (conformal_invariants, decompose_cubic,
+                         operator_invariants, symbol_coframe_point)
 from .quantize import Operator3, _connection_for, quantize_sum, split
 from .symbol import Symbol3, classify, value_of
 
@@ -90,7 +90,6 @@ def load_spec(path: str) -> dict:
     return {
         "operator": Operator3(**parsed),
         "grid": grid,
-        "bundle": bool(raw.get("bundle", False)),
         "tolerances": tolerances,
         "echo": raw,
     }
@@ -130,15 +129,13 @@ def _point_record(x: float, y: float, payload: dict) -> dict:
 def _grid_records(grid: DomainGrid, values_at) -> tuple[list, int]:
     """One record per grid point, holding ``values_at(x, y)`` or the reason
     the point is masked, and the number of masked points."""
+    pts = grid.points()
     records = []
-    masked = 0
-    for x, y in grid.points():
-        try:
-            records.append(_point_record(x, y, {"values": values_at(x, y), "regular": True}))
-        except _POINT_ERRORS as err:
-            records.append(_point_record(x, y, {"regular": False, "reason": str(err)}))
-            masked += 1
-    return records, masked
+    for (x, y), v in zip(pts, masked(values_at, pts)):
+        payload = ({"regular": False, "reason": str(v)} if isinstance(v, Exception)
+                   else {"values": v, "regular": True})
+        records.append(_point_record(x, y, payload))
+    return records, sum(not r["regular"] for r in records)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -148,14 +145,14 @@ def cmd_classify(args) -> int:
     op: Operator3 = spec["operator"]
     sym = Symbol3(*op.components[:4])
     threshold = spec["tolerances"]["classify_threshold"]
+    pts = spec["grid"].points()
     records = []
     errors = []
-    for x, y in spec["grid"].points():
-        try:
-            c = classify(sym.at(x, y, 0), threshold)
+    for (x, y), c in zip(pts, masked(lambda x, y: classify(sym.at(x, y, 0), threshold), pts)):
+        if isinstance(c, Exception):
+            errors.append(_point_record(x, y, {"error": str(c)}))
+        else:
             records.append(_point_record(x, y, {"kind": c.kind.value, "delta": c.delta}))
-        except Invar3Error as err:
-            errors.append(_point_record(x, y, {"error": str(err)}))
     doc = document("classify", spec["echo"],
                    {"threshold": threshold, "tolerances": spec["tolerances"]},
                    {"points": records, "domain_errors": errors})
@@ -177,18 +174,20 @@ def cmd_invariants(args) -> int:
     op: Operator3 = spec["operator"]
     sym = Symbol3(*op.components[:4])
     mode = args.mode
+    rel_tol = spec["tolerances"]["regularity"]
 
     def values_at(x, y):
         if mode == "symbol":
-            iv = basic_invariants(sym, x, y)
-            payload = {f"I{k + 1}": v for k, v in enumerate(iv.values())}
+            sp = sym.at(x, y, 1)
+            comps = decompose_cubic(sp, symbol_coframe_point(sp, rel_tol=rel_tol))
+            payload = {f"I{k + 1}": value_of(c) for k, c in enumerate(comps)}
         elif mode == "conformal":
-            iv = conformal_invariants(sym, x, y)
+            iv = conformal_invariants(sym, x, y, rel_tol=rel_tol)
             payload = {f"I{k + 1}": value_of(c) for k, c in enumerate(iv.components)}
             payload["pivot"] = iv.pivot
             payload.update({f"ratio{k + 1}": r for k, r in enumerate(iv.ratios)})
         else:
-            inv = operator_invariants(op, x, y,
+            inv = operator_invariants(op, x, y, rel_tol=rel_tol,
                                       mode="bundle" if mode == "bundle" else "scalar")
             payload = inv.flat()
         if args.check:

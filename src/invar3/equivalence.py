@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .connection import AffineConnection, OneForm, exterior_derivative
-from .errors import (GeneralPositionError, Invar3Error, InverseMismatchError,
+from .errors import (POINT_ERRORS, GeneralPositionError, InverseMismatchError,
                      NonPositiveScaleError, RegularityError, ZeroCrossingError,
-                     raise_where)
+                     masked, raise_where)
 from .expr import Expr, coefficient_field
 from .invariants import (conformal_frame_data, decompose_cubic,
                          symbol_coframe_point)
@@ -498,8 +498,7 @@ def normalize(op_field: Operator3) -> Operator3:
 
     def factor_at(x: float, y: float, order: int) -> Jet2:
         data = conformal_frame_data(sym_field, x, y, extra_order=max(order - 1, 0))
-        sp = sym_field.at(x, y, order + 1)
-        g = scaled_hessian(sp, -1.0 / 3.0)
+        g = scaled_hessian(data.symbol.map(lambda c: c.truncated(order + 1)), -1.0 / 3.0)
         lam = g.pair(data.theta.components, data.theta.components)
         lam_value = value_of(lam)
         if lam_value <= 0.0:
@@ -545,53 +544,66 @@ _PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 _CANDIDATE_ORDER = {"scalar": 3, "bundle": 1}
 
 
-def _stage_one(op_field: Operator3, grid: DomainGrid, order: int = 1):
+class _StageOne(NamedTuple):
+    """The candidate invariants over a grid (see :func:`_stage_one`)."""
+
+    points: np.ndarray        # (N, 2)
+    values: np.ndarray        # (N, 4), nan where the point is not regular
+    grads: np.ndarray         # (N, 4, 2), nan where the point is not regular
+    seeds: list               # per point (candidate jets, frame), or None
+
+
+def _stage_one(op_field: Operator3, grid: DomainGrid, order: int = 1) -> _StageOne:
     """Candidate invariant values and gradients at every grid point.
 
     The candidates are computed once per point, at the jet order the model
-    will read (``order``); a record is ``(vals, grads, cands, frame)``, or
-    None where the point is not regular.  Model assembly reads its chart
-    data and fields from these records by truncation.
+    will read (``order``).  A point is regular when they can be computed
+    there and their values and gradients are finite.  Model assembly reads
+    its chart data from the arrays, and seeds its chart memo from the jets.
     """
     sym_field = Symbol3(*op_field.components[:4])
     pts = grid.points()
-    records = []
-    for (x, y) in pts:
-        try:
-            cands, frame = _candidate_invariants(sym_field, x, y, order, with_frame=True)
-        except (Invar3Error, ZeroDivisionError, FloatingPointError):
-            records.append(None)
-            continue
-        vals = np.array([value_of(c) for c in cands])
-        grads = np.array([[c.partial(1, 0), c.partial(0, 1)] for c in cands])
-        finite = np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))
-        records.append((vals, grads, cands, frame) if finite else None)
-    return pts, records
+    seeds = masked(lambda x, y: _candidate_invariants(sym_field, x, y, order, with_frame=True),
+                   pts)
+    values = np.full((len(pts), 4), np.nan)
+    grads = np.full((len(pts), 4, 2), np.nan)
+    for k, seed in enumerate(seeds):
+        if not isinstance(seed, Exception):
+            values[k] = [c.value for c in seed[0]]
+            grads[k] = [[c.partial(1, 0), c.partial(0, 1)] for c in seed[0]]
+    regular = np.isfinite(values).all(axis=1) & np.isfinite(grads).all(axis=(1, 2))
+    values[~regular] = grads[~regular] = np.nan
+    return _StageOne(np.array(pts), values, grads,
+                     [seed if ok else None for seed, ok in zip(seeds, regular)])
 
 
-def _clears_floor(grads: np.ndarray, pair, floor: float) -> bool:
-    """Whether the Jacobian of the candidate pair clears the relative floor."""
-    i, j = pair
-    det = grads[i, 0] * grads[j, 1] - grads[i, 1] * grads[j, 0]
-    scale = (np.hypot(*grads[i]) * np.hypot(*grads[j])) + 1e-300
-    return bool(abs(det) >= floor * scale)
+def _clears_floor(grads: np.ndarray, pair, floor: float) -> np.ndarray:
+    """Where the Jacobian of the candidate pair clears the relative floor,
+    for gradients shaped (N, 4, 2); false where they are nan."""
+    gi, gj = grads[:, pair[0]], grads[:, pair[1]]
+    det = gi[:, 0] * gj[:, 1] - gi[:, 1] * gj[:, 0]
+    scale = (np.hypot(gi[:, 0], gi[:, 1]) * np.hypot(gj[:, 0], gj[:, 1])) + 1e-300
+    return np.abs(det) >= floor * scale
 
 
-def _pair_quality(stage, pair, floor: float):
-    """Fraction of usable points where the pair's Jacobian clears the floor."""
-    usable = [rec for rec in stage if rec is not None]
-    ok = sum(_clears_floor(rec[1], pair, floor) for rec in usable)
-    return (ok / max(len(usable), 1)), len(usable), ok
+def _pair_quality(stage: _StageOne, pair, floor: float):
+    """Fraction of regular points where the pair's Jacobian clears the
+    floor, the number of regular points, and of those that clear it."""
+    regular = ~np.isnan(stage.values[:, 0])
+    usable = int(regular.sum())
+    ok = int(_clears_floor(stage.grads[regular], pair, floor).sum())
+    return (ok / max(usable, 1)), usable, ok
 
 
-def _select_pair(stages: list, n_points: list, cfg: EquivConfig) -> tuple[int, int]:
+def _select_pair(stages: list, cfg: EquivConfig) -> tuple[int, int]:
     """First candidate pair in lexicographic order that is in general
     position for every supplied stage-one scan."""
     for pair in _PAIRS:
         good = True
-        for stage, npts in zip(stages, n_points):
+        for stage in stages:
             frac, total, ok = _pair_quality(stage, pair, cfg.jacobian_floor)
-            if total < cfg.min_regular_fraction * npts or frac < cfg.min_regular_fraction:
+            if (total < cfg.min_regular_fraction * len(stage.points)
+                    or frac < cfg.min_regular_fraction):
                 good = False
                 break
         if good:
@@ -608,10 +620,10 @@ def build_natural_model(op_field: Operator3, grid: DomainGrid, mode: str = "scal
     cfg = config or EquivConfig()
     if mode not in ("scalar", "bundle"):
         raise ValueError(f"unknown mode {mode!r}")
-    pts, stage = _stage_one(op_field, grid, _CANDIDATE_ORDER[mode])
+    stage = _stage_one(op_field, grid, _CANDIDATE_ORDER[mode])
     if selection is None:
-        selection = _select_pair([stage], [len(pts)], cfg)
-    return _assemble_model(op_field, grid, mode, selection, cfg, pts, stage)
+        selection = _select_pair([stage], cfg)
+    return _assemble_model(op_field, grid, mode, selection, cfg, stage)
 
 
 def _chart_point(ci, cj, frame) -> tuple:
@@ -651,15 +663,17 @@ def _chart_memo(op_field: Operator3, selection: tuple[int, int]) -> _PointMemo:
     return _PointMemo(compute, limit=8192)
 
 
-def _assemble_model(op_field, grid, mode, selection, cfg, pts, stage,
+def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
                     charts: _PointMemo | None = None) -> NaturalModel:
     i_sel, j_sel = selection
     if charts is None:
         charts = _chart_memo(op_field, selection)
-    # the grid points are seeded from the stage-one records
-    for (x, y), rec in zip(pts, stage):
-        if rec is not None:
-            charts.put(x, y, rec[2][0].order, _chart_point(rec[2][i_sel], rec[2][j_sel], rec[3]))
+    pts = stage.points.tolist()
+    # the grid points are seeded from the stage-one jets
+    for (x, y), seed in zip(pts, stage.seeds):
+        if seed is not None:
+            cands, frame = seed
+            charts.put(x, y, cands[0].order, _chart_point(cands[i_sel], cands[j_sel], frame))
 
     def coords_jac(x: float, y: float):
         vals, J, _ = _chart_data(charts(x, y, 1))
@@ -707,53 +721,34 @@ def _assemble_model(op_field, grid, mode, selection, cfg, pts, stage,
         def connection_at(x: float, y: float) -> tuple[float, float, float]:
             return records(x, y, 0)[1]
 
-    npts = len(pts)
-    values = np.full((npts, 2), np.nan)
-    jacobians = np.full((npts, 2, 2), np.nan)
-    mask = np.zeros(npts, dtype=bool)
-    fvals = np.full((npts, len(field_names)), np.nan)
-
-    kept = []
-    for k, rec in enumerate(stage):
-        if rec is None:
-            continue
-        vals, grads = rec[:2]
-        if max(abs(vals[i_sel]), abs(vals[j_sel])) > cfg.coordinate_cap:
-            continue
-        if not _clears_floor(grads, selection, cfg.jacobian_floor):
-            continue
-        kept.append(k)
-
-    found: list = []
+    # kept: regular points inside the coordinate cap where the selected
+    # pair's Jacobian clears the floor (nan compares false)
+    sel = [i_sel, j_sel]
+    kept = np.flatnonzero(
+        (np.abs(stage.values[:, sel]).max(axis=1) <= cfg.coordinate_cap)
+        & _clears_floor(stage.grads, selection, cfg.jacobian_floor))
+    kept_pts = [pts[k] for k in kept]
     if mode == "scalar":
-        for k in kept:
-            try:
-                found.append(fields_at(*pts[k]))
-            except (Invar3Error, ZeroDivisionError, FloatingPointError):
-                found.append(None)
+        found = masked(fields_at, kept_pts)
     else:
         # one pass of the invariant pipeline over all kept grid points
-        invs = operator_invariants(op_field, [pts[k][0] for k in kept],
-                                   [pts[k][1] for k in kept], mode="bundle")
-        for k, inv in zip(kept, invs):
-            if isinstance(inv, Exception):
-                found.append(None)
-                continue
-            rec = _bundle_record(inv)
-            records.put(*pts[k], 0, rec)
-            found.append(rec[0])
+        found = operator_invariants(op_field, [p[0] for p in kept_pts],
+                                    [p[1] for p in kept_pts], mode="bundle")
+        for i, (p, inv) in enumerate(zip(kept_pts, found)):
+            if not isinstance(inv, Exception):
+                rec = _bundle_record(inv)
+                records.put(*p, 0, rec)
+                found[i] = rec[0]
 
+    npts = len(pts)
+    fvals = np.full((npts, len(field_names)), np.nan)
     for k, f in zip(kept, found):
-        if f is None:
-            continue
-        row = np.array([f[n] for n in field_names])
-        if not np.all(np.isfinite(row)):
-            continue
-        vals, grads = stage[k][:2]
-        values[k] = vals[[i_sel, j_sel]]
-        jacobians[k] = grads[[i_sel, j_sel]]
-        fvals[k] = row
-        mask[k] = True
+        if not isinstance(f, Exception):
+            fvals[k] = [f[n] for n in field_names]
+    mask = np.isfinite(fvals).all(axis=1)
+    fvals[~mask] = np.nan
+    values = np.where(mask[:, None], stage.values[:, sel], np.nan)
+    jacobians = np.where(mask[:, None, None], stage.grads[:, sel], np.nan)
 
     if mask.sum() < max(4, cfg.min_regular_fraction * npts):
         raise GeneralPositionError(
@@ -761,7 +756,7 @@ def _assemble_model(op_field, grid, mode, selection, cfg, pts, stage,
 
     chart = NaturalChart(selection=selection, values=values, jacobians=jacobians, mask=mask)
     return NaturalModel(mode=mode, grid=grid, chart=chart, field_names=field_names,
-                        field_values=fvals, points=np.array(pts),
+                        field_values=fvals, points=stage.points,
                         coords_jac=coords_jac, fields_at=fields_at,
                         connection_at=connection_at, signature_at=signature_at)
 
@@ -787,31 +782,26 @@ def _bracketing_cells(model: NaturalModel, target: np.ndarray):
     vals = model.chart.values.reshape(grid.nx, grid.ny, 2)
     mask = model.chart.mask.reshape(grid.nx, grid.ny)
     pts = model.points.reshape(grid.nx, grid.ny, 2)
-    scored = []
-    for ix in range(grid.nx - 1):
-        for iy in range(grid.ny - 1):
-            if not (mask[ix, iy] and mask[ix + 1, iy] and mask[ix, iy + 1]
-                    and mask[ix + 1, iy + 1]):
-                continue
-            corners = vals[ix:ix + 2, iy:iy + 2].reshape(4, 2)
-            lo = corners.min(axis=0)
-            hi = corners.max(axis=0)
-            pad = 0.35 * (hi - lo) + 1e-12
-            if np.all(target >= lo - pad) and np.all(target <= hi + pad):
-                x0 = pts[ix, iy, 0]
-                y0 = pts[ix, iy, 1]
-                x1 = pts[ix + 1, iy + 1, 0]
-                y1 = pts[ix + 1, iy + 1, 1]
-                mx, my = 0.6 * (x1 - x0), 0.6 * (y1 - y0)
-                center = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
-                bounds = (x0 - mx, x1 + mx, y0 - my, y1 + my)
-                # taut boxes first: cells swallowed by a blowup bracket
-                # everything and should not crowd out genuine candidates
-                diag = float(np.hypot(*(hi - lo))) + 1e-12
-                score = float(np.hypot(*(target - corners.mean(axis=0)))) / diag + diag * 1e-6
-                scored.append((score, center, bounds))
-    scored.sort(key=lambda s: s[0])
-    return [(center, bounds) for (_, center, bounds) in scored[:12]]
+    # cells in row-major order of their lower-left corner, corners in the
+    # order (ix, iy), (ix, iy + 1), (ix + 1, iy), (ix + 1, iy + 1)
+    corners = np.stack([vals[:-1, :-1], vals[:-1, 1:], vals[1:, :-1], vals[1:, 1:]],
+                       axis=2).reshape(-1, 4, 2)
+    usable = (mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]).reshape(-1)
+    lo = corners.min(axis=1)
+    hi = corners.max(axis=1)
+    pad = 0.35 * (hi - lo) + 1e-12
+    cells = np.flatnonzero(usable & np.all(target >= lo - pad, axis=1)
+                           & np.all(target <= hi + pad, axis=1))
+    # taut boxes first: cells swallowed by a blowup bracket everything and
+    # should not crowd out genuine candidates
+    diag = np.hypot(*(hi[cells] - lo[cells]).T) + 1e-12
+    score = np.hypot(*(target - corners[cells].mean(axis=1)).T) / diag + diag * 1e-6
+    best = cells[np.argsort(score, kind="stable")[:12]]
+    x0, y0 = pts[:-1, :-1].reshape(-1, 2)[best].T
+    x1, y1 = pts[1:, 1:].reshape(-1, 2)[best].T
+    mx, my = 0.6 * (x1 - x0), 0.6 * (y1 - y0)
+    centers = zip(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    return list(zip(centers, zip(x0 - mx, x1 + mx, y0 - my, y1 + my)))
 
 
 def _newton_solve(model: NaturalModel, target: np.ndarray, seed, bounds,
@@ -832,7 +822,7 @@ def _newton_solve(model: NaturalModel, target: np.ndarray, seed, bounds,
     x, y = seed
     try:
         (r1, r2), J = residual(x, y)
-    except (Invar3Error, ZeroDivisionError, FloatingPointError):
+    except POINT_ERRORS:
         return None
     err = math.hypot(r1, r2)
     for _ in range(max_iter):
@@ -856,7 +846,7 @@ def _newton_solve(model: NaturalModel, target: np.ndarray, seed, bounds,
                 try:
                     (n1, n2), Jn = residual(xn, yn)
                     nerr = math.hypot(n1, n2)
-                except (Invar3Error, ZeroDivisionError, FloatingPointError):
+                except POINT_ERRORS:
                     nerr = math.inf
                     Jn = None
                 if nerr < err:
@@ -994,7 +984,7 @@ def _compare_models(model_a: NaturalModel, model_b: NaturalModel, tol: float,
             f_own = dict(zip(field_names, rows[k]))
             try:
                 sig_own = owner.signature_at(*x_own)
-            except (Invar3Error, ZeroDivisionError, FloatingPointError):
+            except POINT_ERRORS:
                 continue
             considered += 1
             best = None
@@ -1018,7 +1008,7 @@ def _compare_models(model_a: NaturalModel, model_b: NaturalModel, tol: float,
                     if sig_mismatch(sig_own, partner.signature_at(*x_other)) > cfg.signature_tol:
                         continue
                     f_other = partner.fields_at(*x_other)
-                except (Invar3Error, ZeroDivisionError, FloatingPointError):
+                except POINT_ERRORS:
                     continue
                 diffs = {n: rel(f_own[n], f_other[n]) for n in field_names}
                 worst = max(diffs.values())
@@ -1137,7 +1127,7 @@ def _connection_in_chart(model: NaturalModel, xy) -> tuple[float, float, float] 
     try:
         t1, t2, curv = model.connection_at(*xy)
         _, J = model.coords_jac(*xy)
-    except (Invar3Error, ZeroDivisionError, FloatingPointError):
+    except POINT_ERRORS:
         return None
     det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
     if abs(det) < 1e-300:
@@ -1171,24 +1161,17 @@ def _pairwise(op_a: Operator3, op_b: Operator3, grid_a, grid_b, tol: float,
         raise ValueError("both operators need the same number of chart rectangles")
     try:
         stages = []
-        counts = []
-        per_grid = []
         for ga, gb in zip(grids_a, grids_b):
-            pts_a, st_a = _stage_one(op_a, ga, order)
-            if same_symbol and gb == ga:
-                pts_b, st_b = pts_a, st_a
-            else:
-                pts_b, st_b = _stage_one(op_b, gb, order)
+            st_a = _stage_one(op_a, ga, order)
+            st_b = st_a if same_symbol and gb == ga else _stage_one(op_b, gb, order)
             stages.extend([st_a, st_b])
-            counts.extend([len(pts_a), len(pts_b)])
-            per_grid.append((ga, gb, pts_a, st_a, pts_b, st_b))
-        selection = _select_pair(stages, counts, cfg)
+        selection = _select_pair(stages, cfg)
         verdicts = []
-        for (ga, gb, pts_a, st_a, pts_b, st_b) in per_grid:
+        for k, (ga, gb) in enumerate(zip(grids_a, grids_b)):
             charts_a = _chart_memo(op_a, selection)
             charts_b = charts_a if same_symbol else _chart_memo(op_b, selection)
-            ma = _assemble_model(op_a, ga, mode, selection, cfg, pts_a, st_a, charts_a)
-            mb = _assemble_model(op_b, gb, mode, selection, cfg, pts_b, st_b, charts_b)
+            ma = _assemble_model(op_a, ga, mode, selection, cfg, stages[2 * k], charts_a)
+            mb = _assemble_model(op_b, gb, mode, selection, cfg, stages[2 * k + 1], charts_b)
             verdicts.append(_compare_models(ma, mb, tol, cfg,
                                             with_obstruction=(mode == "bundle")))
     except GeneralPositionError as err:

@@ -93,6 +93,22 @@ class BatchRowError(Invar3Error):
         super().__init__(f"batch rows {self.rows.tolist()} failed a pointwise check")
 
 
+# what masks one grid point instead of aborting the grid: the package's own
+# errors, and float arithmetic gone wrong (division by zero, overflow)
+POINT_ERRORS = (Invar3Error, ArithmeticError)
+
+
+def masked(compute, points) -> list:
+    """``compute(x, y)`` at each point, or the point error that masks it."""
+    out = []
+    for x, y in points:
+        try:
+            out.append(compute(x, y))
+        except POINT_ERRORS as err:
+            out.append(err)
+    return out
+
+
 def raise_where(bad, error) -> None:
     """Raise where a check fails.
 

@@ -20,8 +20,8 @@ import re
 from dataclasses import dataclass
 
 from . import jets
-from .errors import (BatchRowError, DomainEvalError, Invar3Error, ParseError,
-                     UnknownIdentifierError)
+from .errors import (BatchRowError, DomainEvalError, ParseError,
+                     UnknownIdentifierError, masked)
 from .jets import Jet2
 
 __all__ = [
@@ -471,12 +471,8 @@ def field_at(component, x, y, order: int) -> Jet2:
     f = coefficient_field(component)
     if isinstance(x, (int, float)):
         return f(x, y, order)
-    rows, bad = [], []
-    for k, (xk, yk) in enumerate(zip(x, y)):
-        try:
-            rows.append(f(xk, yk, order))
-        except (Invar3Error, ZeroDivisionError, FloatingPointError):
-            bad.append(k)
+    rows = masked(lambda xk, yk: f(xk, yk, order), zip(x, y))
+    bad = [k for k, r in enumerate(rows) if isinstance(r, Exception)]
     if bad:
         raise BatchRowError(bad)
     return jets.stack(rows)

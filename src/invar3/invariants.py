@@ -40,7 +40,8 @@ from .connection import (AffineConnection, OneForm, TwoForm, chern_connection,
                          covariant_derivative_oneform,
                          covariant_derivative_twoform, exterior_derivative,
                          torsion_form, wagner_connection)
-from .errors import BatchRowError, Invar3Error, RegularityError, raise_where
+from .errors import (POINT_ERRORS, BatchRowError, RegularityError, masked,
+                     raise_where)
 from .jets import Jet2
 from .quantize import Operator3, split
 from .symbol import Sym2Form, Symbol3, max_of, scaled_hessian, value_of
@@ -303,9 +304,11 @@ def tresse_derivative(pipeline: Callable[[float, float, int], Any],
 
 @dataclass(frozen=True)
 class ConformalFrameData:
-    """Conformal coframe plus the intermediate connection data."""
+    """Conformal coframe plus the intermediate connection data, and the
+    symbol jets it was built from (of order 4 + ``extra_order``)."""
 
     coframe: Coframe
+    symbol: Symbol3
     gamma: AffineConnection
     omega: OneForm
     curvature_form: TwoForm
@@ -346,7 +349,7 @@ def conformal_frame_data(symbol_field: Symbol3, x: float, y: float, *,
                              null_name="covector is null for the quadratic form",
                              zero_name="covector vanishes",
                              diagnostics=diagnostics)
-    return ConformalFrameData(coframe=coframe, gamma=gamma, omega=omega,
+    return ConformalFrameData(coframe=coframe, symbol=sp, gamma=gamma, omega=omega,
                               curvature_form=big_omega, theta=theta, quadratic=quad)
 
 
@@ -366,8 +369,7 @@ def conformal_invariants(symbol_field: Symbol3, x: float, y: float, *,
     pivot).
     """
     data = conformal_frame_data(symbol_field, x, y, rel_tol=rel_tol)
-    sp = symbol_field.at(x, y, 4)
-    comps = decompose_cubic(sp, data.coframe)
+    comps = decompose_cubic(data.symbol, data.coframe)
     vals = [value_of(c) for c in comps]
     pivot = max(range(4), key=lambda i: abs(vals[i]))
     if abs(vals[pivot]) <= pivot_floor * max(1e-300, max(abs(v) for v in vals) or 1.0):
@@ -377,9 +379,6 @@ def conformal_invariants(symbol_field: Symbol3, x: float, y: float, *,
 
 
 # -- operator invariants ------------------------------------------------------------
-
-_POINT_ERRORS = (Invar3Error, ZeroDivisionError, FloatingPointError)
-
 
 def operator_invariants(op_field: Operator3, x, y, *,
                         mode: str = "scalar", rel_tol: float = 1e-9):
@@ -421,7 +420,7 @@ def _per_point(compute: Callable, xs: list, ys: list) -> list:
             alone.extend(failed)
             live = [k for k in live if k not in failed]
             continue
-        except _POINT_ERRORS:
+        except POINT_ERRORS:
             # a failure that names no rows: fall back to single points
             alone.extend(live)
             break
@@ -432,11 +431,9 @@ def _per_point(compute: Callable, xs: list, ys: list) -> list:
             else:
                 alone.append(k)
         break
-    for k in sorted(alone):
-        try:
-            out[k] = compute(xs[k], ys[k])
-        except _POINT_ERRORS as err:
-            out[k] = err
+    alone.sort()
+    for k, res in zip(alone, masked(compute, [(xs[k], ys[k]) for k in alone])):
+        out[k] = res
     return out
 
 

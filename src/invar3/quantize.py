@@ -201,11 +201,12 @@ def quantize(sigma, gamma: AffineConnection, theta: OneForm | None = None) -> Fo
     least k - 2 (they get differentiated k - 2 times in the expansion).
     """
     k, comps = _symbol_components(sigma)
-    _check_quantization_orders(k, gamma, theta)
     return _pair_with_symbol(_derivation_powers(gamma, theta, k)[k], k, comps)
 
 
-def _check_quantization_orders(k: int, gamma: AffineConnection, theta) -> None:
+def _derivation_powers(gamma: AffineConnection, theta, k: int) -> list:
+    """D^0 .. D^k of the symmetric derivation applied to the formal function,
+    once the jets are deep enough for an order-k quantization."""
     gamma_order = gamma.min_order()
     if k >= 3 and gamma_order is not None and gamma_order < k - 2:
         raise JetOrderError(
@@ -215,10 +216,6 @@ def _check_quantization_orders(k: int, gamma: AffineConnection, theta) -> None:
         if theta_orders and min(theta_orders) < k - 1:
             raise JetOrderError(
                 f"order-{k} bundle quantization needs connection-form jets of order >= {k - 1}")
-
-
-def _derivation_powers(gamma: AffineConnection, theta, k: int) -> list:
-    """D^0 .. D^k of the symmetric derivation applied to the formal function."""
     D = sym_derivation(gamma, theta)
     polys = [{(0, 0): {(0, 0): 1.0}}]
     for _ in range(k):
@@ -267,7 +264,6 @@ def split(op: Operator3, connection_choice: str = "chern",
         gamma = _connection_for(sigma3, connection_choice)
     raw = dict(op.raw())
     # one chain D, D^2, D^3 of the derivation quantizes all three parts
-    _check_quantization_orders(3, gamma, theta)
     powers = _derivation_powers(gamma, theta, 3)
 
     def subtract(k: int, comps: tuple):
@@ -327,8 +323,11 @@ def quantize_sum(total: TotalSymbol, gamma: AffineConnection,
                  theta: OneForm | None = None) -> Operator3:
     """Assemble an operator from a total symbol against a connection (the
     inverse of :func:`split`)."""
+    # one chain D, D^2, D^3 of the derivation quantizes all four parts
+    powers = _derivation_powers(gamma, theta, 3)
     raw: dict = {}
     for part in (total.sigma3, total.sigma2, total.sigma1, total.sigma0):
-        for alpha, c in quantize(part, gamma, theta).coeffs.items():
+        k, comps = _symbol_components(part)
+        for alpha, c in _pair_with_symbol(powers[k], k, comps).coeffs.items():
             raw[alpha] = raw.get(alpha, 0.0) + c
     return Operator3.from_raw(raw)

@@ -206,3 +206,54 @@ def test_bundle_model_reuses_the_connection_form_of_its_fields():
         curv = theta.t2.dx() - theta.t1.dy()
         want = (value_of(theta.t1), value_of(theta.t2), value_of(curv))
         assert model.connection_at(x, y) == want
+
+
+class _FakeRows:
+    """A batch result: row i holds the value ``values[i]``."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def row(self, i):
+        return _FakePoint(self.values[i])
+
+
+class _FakePoint:
+    def __init__(self, value):
+        self.value = value
+
+    def flat(self):
+        return {"v": self.value}
+
+
+def test_per_point_recomputes_non_finite_rows_alone():
+    from invar3.invariants import _per_point
+    calls = []
+
+    def compute(x, y):
+        calls.append((x, y))
+        if isinstance(x, list):
+            return _FakeRows([np.inf if xk == 1.0 else xk for xk in x])
+        return _FakePoint(-x)
+
+    out = _per_point(compute, [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+    assert [p.value for p in out] == [0.0, -1.0, 2.0]
+    assert calls == [([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]), (1.0, 0.0)]
+
+
+def test_per_point_falls_back_to_single_points_on_an_unnamed_failure():
+    from invar3.errors import RegularityError
+    from invar3.invariants import _per_point
+    errors = {1.0: ZeroDivisionError("division by zero"),
+              2.0: OverflowError("math range error")}
+
+    def compute(x, y):
+        if isinstance(x, list):
+            raise RegularityError("batch failed", ["no rows named"])
+        if x in errors:
+            raise errors[x]
+        return _FakePoint(x)
+
+    out = _per_point(compute, [0.0, 1.0, 2.0, 3.0], [0.0] * 4)
+    assert out[0].value == 0.0 and out[3].value == 3.0
+    assert out[1] is errors[1.0] and out[2] is errors[2.0]

@@ -240,3 +240,90 @@ def test_threads_env_var_keeps_documents_identical(tmp_path, monkeypatch):
     out2 = tmp_path / "t2.json"
     assert main(["classify", spec, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def hyp_variant(tmp_path, name, tolerances=None, **coefficients):
+    """Criterion 10's operator with some coefficients replaced."""
+    payload = json.loads(json.dumps(HYP))
+    payload["coefficients"].update(coefficients)
+    if tolerances is not None:
+        payload["tolerances"] = tolerances
+    return write_spec(tmp_path, name, payload)
+
+
+def test_overflowing_coefficient_masks_split_points(tmp_path):
+    # exp(800 x) overflows a double on the column x = 1
+    spec = hyp_variant(tmp_path, "ovf.json", b1="exp(800*x)")
+    code, doc = run(tmp_path, "split", spec)
+    assert code == 0
+    masked = [p for p in doc["outputs"]["points"] if not p["regular"]]
+    assert doc["outputs"]["masked_points"] == len(masked) == 8
+    assert {p["x"] for p in masked} == {1.0}
+    assert all(p["reason"] for p in masked)
+
+
+def test_overflowing_symbol_masks_points(tmp_path):
+    spec = hyp_variant(tmp_path, "ovf.json", a2="exp(800*x) / 3")
+    code, doc = run(tmp_path, "classify", spec)
+    assert code == 3
+    assert len(doc["outputs"]["domain_errors"]) == 48
+    code, doc = run(tmp_path, "invariants", spec, "--mode", "symbol")
+    assert code == 0
+    assert 0 < doc["outputs"]["masked_points"] < 64
+    code, doc = run(tmp_path, "invariants", spec, "--mode", "conformal")
+    assert code == 2
+    assert doc["outputs"]["regular_points"] == 0
+
+
+def test_regularity_tolerance_is_applied(tmp_path):
+    default = hyp_variant(tmp_path, "default.json")
+    code, doc = run(tmp_path, "invariants", default, "--mode", "conformal")
+    assert code == 0 and doc["outputs"]["masked_points"] == 8
+    strict = hyp_variant(tmp_path, "strict.json", tolerances={"regularity": 1e6})
+    code, doc = run(tmp_path, "invariants", strict, "--mode", "conformal")
+    assert code == 2
+    assert doc["outputs"]["regular_points"] == 0
+    assert doc["configuration"]["tolerances"]["regularity"] == 1e6
+
+
+def test_invariants_csv(tmp_path, capsys):
+    spec = write_spec(tmp_path, "hyp.json", HYP)
+    assert main(["invariants", spec, "--mode", "conformal", "--csv",
+                 "--out", str(tmp_path / "i.json")]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "x,y,regular,I1,I2,I3,I4,pivot,ratio1,ratio2,ratio3,ratio4"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 64
+    masked = [r for r in rows if r[2] == "0"]
+    assert len(masked) == 8 and all(v == "" for r in masked for v in r[3:])
+
+
+def test_spec_file_errors_exit_3(tmp_path, capsys):
+    assert main(["classify", str(tmp_path / "absent.json")]) == 3
+    assert "not found" in capsys.readouterr().err
+    broken = tmp_path / "broken.json"
+    broken.write_text("{\"coefficients\": ", encoding="utf-8")
+    assert main(["classify", str(broken)]) == 3
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_spec_numeric_coefficients_and_bundle_key(tmp_path):
+    from invar3.cli import load_spec
+    from invar3.expr import parse
+    payload = json.loads(json.dumps(CONST))
+    payload["coefficients"].update(a0=0.6, c1=2)
+    payload["bundle"] = True
+    spec = load_spec(write_spec(tmp_path, "num.json", payload))
+    assert spec["operator"].a0 == parse("0.6")
+    assert spec["operator"].c1 == parse("2.0")
+    assert "bundle" not in spec and spec["echo"]["bundle"] is True
+
+
+def test_equiv_aut_reports_closed_obstruction(tmp_path):
+    spec = write_spec(tmp_path, "hyp.json", HYP)
+    code, doc = run(tmp_path, "equiv", spec, spec, "--mode", "aut")
+    assert code == 0
+    obstruction = doc["outputs"]["obstruction"]
+    assert obstruction["closed"] is True
+    assert obstruction["points"] == doc["outputs"]["matched_points"] > 0
+    assert obstruction["residual"] <= doc["configuration"]["closedness_tol"]

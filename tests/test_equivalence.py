@@ -394,3 +394,138 @@ def test_multi_rectangle_charts(rng):
     assert v2.equivalent == "no"
     with pytest.raises(ValueError):
         equivalent_scalar(op, op, grids, grids[:1], tol=1e-6, config=FAST)
+
+
+# -- masking and the array forms of pair selection and cell search ---------------------
+
+def test_overflowing_symbol_gives_inconclusive_verdict():
+    op = Operator3(a1=0.0, a2=eexp(800 * X) / 3, a3=eexp(0.5 * Y - 0.2 * X) / 3, a4=0.0,
+                   b1=0.5, b2=0.3 * Y, b3=1.0, c1=0.4 * X, c2=0.2, a0=0.3)
+    verdict = equivalent_scalar(op, op, GRID, GRID, config=FAST)
+    assert verdict.equivalent == "inconclusive"
+    assert "general position" in verdict.notes[0]
+
+
+def test_point_memo_empties_itself_when_full():
+    from invar3.equivalence import _PointMemo
+    calls = []
+
+    def compute(x, y, order):
+        calls.append((x, y, order))
+        return len(calls)
+
+    memo = _PointMemo(compute, limit=2)
+    assert memo(0.0, 0.0, 2) == 1
+    assert memo(0.0, 0.0, 1) == 1  # a lower order is served from the memo
+    assert memo(1.0, 0.0, 1) == 2
+    assert memo(2.0, 0.0, 1) == 3  # full: the memo empties before storing
+    assert memo(2.0, 0.0, 1) == 3
+    assert memo(0.0, 0.0, 1) == 4
+    assert calls == [(0.0, 0.0, 2), (1.0, 0.0, 1), (2.0, 0.0, 1), (0.0, 0.0, 1)]
+
+
+def _clears_floor_reference(grads, pair, floor):
+    i, j = pair
+    det = grads[i, 0] * grads[j, 1] - grads[i, 1] * grads[j, 0]
+    scale = (np.hypot(*grads[i]) * np.hypot(*grads[j])) + 1e-300
+    return bool(abs(det) >= floor * scale)
+
+
+def _pair_quality_reference(records, pair, floor):
+    """Pair quality over per-point records: (values, gradients), or None
+    where the point is not regular."""
+    usable = [rec for rec in records if rec is not None]
+    ok = sum(_clears_floor_reference(rec[1], pair, floor) for rec in usable)
+    return (ok / max(len(usable), 1)), len(usable), ok
+
+
+def _bracketing_cells_reference(model, target):
+    """The cell search one cell at a time."""
+    grid = model.grid
+    vals = model.chart.values.reshape(grid.nx, grid.ny, 2)
+    mask = model.chart.mask.reshape(grid.nx, grid.ny)
+    pts = model.points.reshape(grid.nx, grid.ny, 2)
+    scored = []
+    for ix in range(grid.nx - 1):
+        for iy in range(grid.ny - 1):
+            if not (mask[ix, iy] and mask[ix + 1, iy] and mask[ix, iy + 1]
+                    and mask[ix + 1, iy + 1]):
+                continue
+            corners = vals[ix:ix + 2, iy:iy + 2].reshape(4, 2)
+            lo = corners.min(axis=0)
+            hi = corners.max(axis=0)
+            pad = 0.35 * (hi - lo) + 1e-12
+            if np.all(target >= lo - pad) and np.all(target <= hi + pad):
+                x0, y0 = pts[ix, iy, 0], pts[ix, iy, 1]
+                x1, y1 = pts[ix + 1, iy + 1, 0], pts[ix + 1, iy + 1, 1]
+                mx, my = 0.6 * (x1 - x0), 0.6 * (y1 - y0)
+                center = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
+                bounds = (x0 - mx, x1 + mx, y0 - my, y1 + my)
+                diag = float(np.hypot(*(hi - lo))) + 1e-12
+                score = float(np.hypot(*(target - corners.mean(axis=0)))) / diag + diag * 1e-6
+                scored.append((score, center, bounds))
+    scored.sort(key=lambda s: s[0])
+    return [(center, bounds) for (_, center, bounds) in scored[:12]]
+
+
+def _random_values(rng, shape, coarse):
+    """Random coordinates; coarse ones repeat, so scores and boxes tie."""
+    if coarse:
+        return rng.integers(-3, 4, shape) * 0.5
+    return rng.normal(0.0, 1.0, shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_pair_quality_matches_per_record_reference(seed, coarse):
+    from invar3.equivalence import _PAIRS, _StageOne, _clears_floor, _pair_quality
+    rng = rng_for(seed)
+    n = 64
+    values = _random_values(rng, (n, 4), coarse)
+    grads = _random_values(rng, (n, 4, 2), coarse)
+    # near-dependent gradients sit at the floor
+    near = rng.random(n) < 0.3
+    grads[near, 1] = grads[near, 0] * 1.5 + rng.normal(0.0, 1e-7, (int(near.sum()), 2))
+    regular = rng.random(n) < 0.8
+    values[~regular] = np.nan
+    grads[~regular] = np.nan
+    stage = _StageOne(np.zeros((n, 2)), values, grads, [None] * n)
+    records = [(values[k], grads[k]) if regular[k] else None for k in range(n)]
+    for floor in (1e-6, 1e-3, 0.5):
+        for pair in _PAIRS:
+            want = _pair_quality_reference(records, pair, floor)
+            assert _pair_quality(stage, pair, floor) == want
+            clears = [bool(regular[k]) and _clears_floor_reference(grads[k], pair, floor)
+                      for k in range(n)]
+            assert _clears_floor(grads, pair, floor).tolist() == clears
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["chart", "coarse", "rough"]),
+       st.integers(8, 11), st.integers(8, 11))
+def test_bracketing_cells_match_per_cell_reference(seed, kind, nx, ny):
+    from invar3.equivalence import NaturalChart, NaturalModel, _bracketing_cells
+    rng = rng_for(seed)
+    grid = DomainGrid(0.0, 1.0, -0.5, 0.7, nx, ny)
+    n = nx * ny
+    coarse = kind == "coarse"
+    if kind == "chart":
+        # a smooth map brackets a target in a few cells only
+        pts = np.array(grid.points())
+        values = pts @ rng.normal(0.0, 1.0, (2, 2)) + 0.3 * np.sin(3.0 * pts[:, ::-1])
+    else:
+        values = _random_values(rng, (n, 2), coarse)
+    mask = rng.random(n) < 0.9
+    values[~mask] = np.nan
+    chart = NaturalChart(selection=(0, 1), values=values, jacobians=np.zeros((n, 2, 2)),
+                         mask=mask)
+    model = NaturalModel(mode="scalar", grid=grid, chart=chart, field_names=[],
+                         field_values=np.zeros((n, 0)), points=np.array(grid.points()),
+                         coords_jac=None, fields_at=None)
+    targets = _random_values(rng, (6, 2), coarse)
+    if kind == "chart":
+        targets = values[mask][rng.integers(0, mask.sum(), 6)] + rng.normal(0.0, 0.05, (6, 2))
+    for target in targets:
+        got = _bracketing_cells(model, target)
+        want = _bracketing_cells_reference(model, target)
+        assert repr(got) == repr(want)
