@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .equivalence import (DomainGrid, EquivConfig, equation_equivalent,
                           equivalent_bundle, equivalent_scalar)
@@ -175,6 +177,12 @@ def cmd_invariants(args) -> int:
     sym = Symbol3(*op.components[:4])
     mode = args.mode
     rel_tol = spec["tolerances"]["regularity"]
+    if mode in ("operator", "bundle"):
+        # one batched pass over the grid
+        pts = spec["grid"].points()
+        found = dict(zip(pts, operator_invariants(
+            op, [p[0] for p in pts], [p[1] for p in pts], rel_tol=rel_tol,
+            mode="bundle" if mode == "bundle" else "scalar")))
 
     def values_at(x, y):
         if mode == "symbol":
@@ -187,8 +195,9 @@ def cmd_invariants(args) -> int:
             payload["pivot"] = iv.pivot
             payload.update({f"ratio{k + 1}": r for k, r in enumerate(iv.ratios)})
         else:
-            inv = operator_invariants(op, x, y, rel_tol=rel_tol,
-                                      mode="bundle" if mode == "bundle" else "scalar")
+            inv = found[(x, y)]
+            if isinstance(inv, Exception):
+                raise inv
             payload = inv.flat()
         if args.check:
             payload["checks"] = _residual_checks(sym, x, y)
@@ -361,7 +370,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflow masks its point with a reason; numpy's floating-point
+        # warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except SpecError as err:
         print(f"input error: {err}", file=sys.stderr)
         return 3

@@ -445,7 +445,8 @@ def line_bundle_connection(op_field: Operator3, p: tuple[float, float], *,
     connection of the principal symbol at ``p`` when the caller already
     has it, with jets of order at least ``max(1, extra_order)``.  The
     coordinates of ``p`` may be sequences of points: the jets are then
-    batched, one row per point.
+    batched, one row per point, and NaN on the rows of points where the
+    solve or its residual check fails.
     """
     return _line_bundle_solve(op_field.at(p[0], p[1], max(2, extra_order + 1)), chern)
 
@@ -466,18 +467,16 @@ def _line_bundle_solve(opp: Operator3, chern: AffineConnection | None) -> tuple[
     ]
     rhs = [sub0[0], 2 * sub0[1], sub0[2]]
     x, report = solve_jet_system(M, rhs, singular_message="line-bundle connection: singular symbol")
-    theta = OneForm(x[0], x[1])
-    lam = x[2]
     # substitution check against the defining relation
     res = 0.0
     for row, b in zip(M, rhs):
         lhs = row[0] * x[0] + row[1] * x[1] + row[2] * x[2] - b
         res = max_of((res, abs(value_of(lhs))))
     scale = max_of((1.0, opp.norm()))
-    raise_where(res > 1e-10 * scale * max_of((1.0, report.cond)),
-                lambda: RegularityError("line-bundle connection residual too large",
-                                        [f"residual {res:.3g}"]))
-    return theta, lam
+    t1, t2, lam = raise_where(res > 1e-10 * scale * max_of((1.0, report.cond)),
+                              lambda: RegularityError("line-bundle connection residual too large",
+                                                      [f"residual {res:.3g}"]), tuple(x))
+    return OneForm(t1, t2), lam
 
 
 # -- normalization ------------------------------------------------------------------

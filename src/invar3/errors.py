@@ -80,19 +80,6 @@ class NonPositiveScaleError(Invar3Error):
     """The normalization multiplier is not positive at the requested point."""
 
 
-class BatchRowError(Invar3Error):
-    """Some points of a batch failed a pointwise check.
-
-    ``rows`` indexes the failed points along the batch axis.  The check
-    names no reason for them: computed alone, each such point raises the
-    error that tells what failed there.
-    """
-
-    def __init__(self, rows):
-        self.rows = np.asarray(rows)
-        super().__init__(f"batch rows {self.rows.tolist()} failed a pointwise check")
-
-
 # what masks one grid point instead of aborting the grid: the package's own
 # errors, and float arithmetic gone wrong (division by zero, overflow)
 POINT_ERRORS = (Invar3Error, ArithmeticError)
@@ -109,20 +96,25 @@ def masked(compute, points) -> list:
     return out
 
 
-def raise_where(bad, error) -> None:
-    """Raise where a check fails.
+def raise_where(bad, error, value):
+    """``value``, checked where it is computed.
 
     ``bad`` is a bool for one point, or a boolean array over the rows of a
-    batch.  One point raises ``error()``; a batch raises
-    :class:`BatchRowError` naming the rows where ``bad`` holds.
+    batch.  One point raises ``error()`` where the check fails.  A batch
+    goes on, with ``value`` (a jet, a number or array, or a tuple of them)
+    turned to NaN on the rows where ``bad`` holds; computed alone, such a
+    point raises the error that tells what failed there.
     """
     if bad is False:
-        return
+        return value
     if isinstance(bad, np.ndarray):
         if bad.any():
-            raise BatchRowError(np.flatnonzero(bad))
+            # times 1.0 leaves every other row bit for bit as it was
+            fill = np.where(bad, np.nan, 1.0)
+            return tuple(v * fill for v in value) if isinstance(value, tuple) else value * fill
     elif bad:
         raise error()
+    return value
 
 
 class ConditioningWarning(UserWarning):

@@ -20,8 +20,7 @@ import re
 from dataclasses import dataclass
 
 from . import jets
-from .errors import (BatchRowError, DomainEvalError, ParseError,
-                     UnknownIdentifierError, masked)
+from .errors import DomainEvalError, ParseError, UnknownIdentifierError, masked
 from .jets import Jet2
 
 __all__ = [
@@ -465,14 +464,13 @@ def field_at(component, x, y, order: int) -> Jet2:
     """Jet of a coefficient component at the point (x, y).
 
     ``x`` and ``y`` may also be equal-length sequences: the jets at those
-    points are then stacked into one batched jet.  Points where evaluation
-    fails make the batch raise :class:`BatchRowError` naming them.
+    points are then stacked into one batched jet, with NaN rows where
+    evaluation fails (computed alone, such a point raises the error).
     """
     f = coefficient_field(component)
     if isinstance(x, (int, float)):
         return f(x, y, order)
     rows = masked(lambda xk, yk: f(xk, yk, order), zip(x, y))
-    bad = [k for k, r in enumerate(rows) if isinstance(r, Exception)]
-    if bad:
-        raise BatchRowError(bad)
-    return jets.stack(rows)
+    k = next((r.order for r in rows if isinstance(r, Jet2)), order)
+    failed = Jet2(k, [float("nan")] * jets.ncoef(k))
+    return jets.stack([failed if isinstance(r, Exception) else r for r in rows])

@@ -24,8 +24,8 @@ invariants; Tresse derivatives differentiate invariant pipelines along
 the frame by jet propagation, never by finite differences.
 
 The conformal frame and the operator invariants run on batched jets as
-well (one row per point, see :mod:`invar3.jets`); their regularity checks
-then hold row by row.
+well (one row per point, see :mod:`invar3.jets`); a regularity check that
+fails there turns its rows to NaN instead of raising.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .connection import (AffineConnection, OneForm, TwoForm, chern_connection,
                          covariant_derivative_oneform,
                          covariant_derivative_twoform, exterior_derivative,
                          torsion_form, wagner_connection)
-from .errors import (POINT_ERRORS, BatchRowError, RegularityError, masked,
-                     raise_where)
+from .errors import POINT_ERRORS, RegularityError, masked, raise_where
 from .jets import Jet2
 from .quantize import Operator3, split
 from .symbol import Sym2Form, Symbol3, max_of, scaled_hessian, value_of
@@ -211,18 +210,21 @@ def _build_coframe(theta: OneForm, metric: Sym2Form, *, rel_tol: float,
     """Orthogonal oriented partner and dual frame for a covector.
 
     ``metric`` must be contravariant (it pairs covectors).  Raises
-    :class:`RegularityError` when the covector vanishes or is null.
+    :class:`RegularityError` when the covector vanishes or is null (NaN
+    rows on a batch).
     """
     t1v, t2v = value_of(theta.t1), value_of(theta.t2)
     theta_scale = max_of((abs(t1v), abs(t2v)))
-    raise_where(theta_scale <= rel_tol * max_of((scale, 1.0)),
-                lambda: RegularityError("coframe construction failed", [zero_name]))
+    theta = OneForm(*raise_where(
+        theta_scale <= rel_tol * max_of((scale, 1.0)),
+        lambda: RegularityError("coframe construction failed", [zero_name]), theta.components))
     pairing = metric.pair(theta.components, theta.components)
     pairing_value = value_of(pairing)
     pair_scale = metric.norm() * theta_scale ** 2
     diagnostics["pairing"] = pairing_value
-    raise_where(abs(pairing_value) <= rel_tol * max_of((pair_scale, 1e-300)),
-                lambda: RegularityError("coframe construction failed", [null_name]))
+    theta = OneForm(*raise_where(
+        abs(pairing_value) <= rel_tol * max_of((pair_scale, 1e-300)),
+        lambda: RegularityError("coframe construction failed", [null_name]), theta.components))
     det = metric.det()
     det_sign = _sign(value_of(det))
     inv_root = 1.0 / jets.sqrt(jets.jabs(det))
@@ -324,7 +326,8 @@ def conformal_frame_data(symbol_field: Symbol3, x: float, y: float, *,
     Consumes (4 + extra_order)-jets of the symbol coefficients.  Raises
     :class:`RegularityError` itemizing which condition failed: singular
     symbol, vanishing curvature form, degenerate quadratic form, or a
-    null covector.
+    null covector.  On batched jets a failed check turns its points' rows
+    to NaN instead.
     """
     m = 4 + extra_order
     sp = symbol_field.at(x, y, m)
@@ -332,16 +335,19 @@ def conformal_frame_data(symbol_field: Symbol3, x: float, y: float, *,
     big_omega = exterior_derivative(omega)
     rho = big_omega.r
     scale4 = max_of((sp.norm(), 1.0))
-    raise_where(abs(value_of(rho)) <= rel_tol * scale4,
-                lambda: RegularityError("conformal frame failed", ["curvature form vanishes"]))
+    rho = raise_where(abs(value_of(rho)) <= rel_tol * scale4,
+                      lambda: RegularityError("conformal frame failed",
+                                              ["curvature form vanishes"]), rho)
     nabla_omega = covariant_derivative_twoform(gamma, big_omega)
     theta = OneForm(nabla_omega[0] / rho, nabla_omega[1] / rho)
     H = covariant_derivative_oneform(gamma, theta)
     quad = Sym2Form(H[0][0], H[0][1] + H[1][0], H[1][1], variance="co")
     qdet = value_of(quad.det())
     qscale = max_of((quad.norm() ** 2, 1e-300))
-    raise_where(abs(qdet) <= rel_tol * qscale,
-                lambda: RegularityError("conformal frame failed", ["quadratic form is degenerate"]))
+    quad = Sym2Form(*raise_where(abs(qdet) <= rel_tol * qscale,
+                                 lambda: RegularityError("conformal frame failed",
+                                                         ["quadratic form is degenerate"]),
+                                 quad.components), variance="co")
     pairing_metric = quad.inverse()
     diagnostics: dict = {"curvature_density": value_of(rho), "quad_det": qdet}
     coframe = _build_coframe(theta, pairing_metric, rel_tol=rel_tol,
@@ -390,7 +396,8 @@ def operator_invariants(op_field: Operator3, x, y, *,
     (bundle curvature density over the coframe area element).
 
     ``x`` and ``y`` may also be equal-length sequences of points.  The
-    pipeline then runs once, on batched jets of all the points, and the
+    pipeline then runs once, on batched jets of all the points, where a
+    failed check turns its points' rows to NaN and the pass goes on.  The
     result is a list holding, per point, its :class:`OperatorInvariants`
     or the error that masks it: the error the point raises on its own.
     """
@@ -404,34 +411,18 @@ def _per_point(compute: Callable, xs: list, ys: list) -> list:
     """``compute`` run once on a batch of points, split into one result or
     error per point.
 
-    A point that fails a check leaves the batch, which is computed again
-    without it.  Those points, and points whose batched invariants are not
-    all finite, are computed alone, so that every point gets exactly its
-    one-point result or error.
+    The points whose batched invariants are not all finite (among them
+    every point that failed a check) are computed alone, so that every
+    point gets exactly its one-point result or error.  A batch that fails
+    as a whole leaves every point to be computed alone.
     """
-    out: list = [None] * len(xs)
-    live = list(range(len(xs)))
-    alone = []
-    while live:
-        try:
-            batch = compute([xs[k] for k in live], [ys[k] for k in live])
-        except BatchRowError as err:
-            failed = {live[i] for i in err.rows.tolist()}
-            alone.extend(failed)
-            live = [k for k in live if k not in failed]
-            continue
-        except POINT_ERRORS:
-            # a failure that names no rows: fall back to single points
-            alone.extend(live)
-            break
-        for i, k in enumerate(live):
-            res = batch.row(i)
-            if np.isfinite(list(res.flat().values())).all():
-                out[k] = res
-            else:
-                alone.append(k)
-        break
-    alone.sort()
+    try:
+        batch = compute(xs, ys)
+        out = [batch.row(i) for i in range(len(xs))]
+    except POINT_ERRORS:
+        out = [None] * len(xs)
+    alone = [k for k, res in enumerate(out)
+             if res is None or not np.isfinite(list(res.flat().values())).all()]
     for k, res in zip(alone, masked(compute, [(xs[k], ys[k]) for k in alone])):
         out[k] = res
     return out

@@ -15,8 +15,9 @@ A jet may also hold a batch: coefficients shaped ``(N, ncoef)``, one row
 per base point.  Every operation then acts row by row, with the same
 floating-point operations in the same order as on a single point, so a
 row of a batched result is bit-identical to the unbatched computation.
-Pointwise checks (a zero constant term, a negative radicand) raise
-:class:`~invar3.errors.BatchRowError` naming the failing rows.
+A pointwise check (a zero constant term, a negative radicand) raises on
+one point; on a batch it turns the failing rows to NaN and the batch goes
+on (see :func:`~invar3.errors.raise_where`).
 """
 
 from __future__ import annotations
@@ -434,7 +435,7 @@ def _zero_divisor() -> DomainEvalError:
 
 
 def _reciprocal(u: Jet2) -> Jet2:
-    raise_where(u.value == 0.0, _zero_divisor)
+    u = raise_where(u.value == 0.0, _zero_divisor, u)
     return _series_apply(u, _coefficients(u, _reciprocal_series))
 
 
@@ -462,7 +463,7 @@ def ln(u):
             raise DomainEvalError(f"log of non-positive value {u}")
         return math.log(u)
     u0 = u.value
-    raise_where(u0 <= 0.0, lambda: DomainEvalError(f"log of non-positive value {u0}"))
+    u = raise_where(u0 <= 0.0, lambda: DomainEvalError(f"log of non-positive value {u0}"), u)
     return _series_apply(u, _coefficients(u, _ln_series))
 
 
@@ -508,7 +509,8 @@ def sqrt(u):
             raise DomainEvalError(f"even root of non-positive value {u}")
         return math.sqrt(u)
     u0 = u.value
-    raise_where(u0 <= 0.0, lambda: DomainEvalError(f"even root of non-positive value {u0}"))
+    u = raise_where(u0 <= 0.0,
+                    lambda: DomainEvalError(f"even root of non-positive value {u0}"), u)
     return _binomial_series(u, 0.5)
 
 
@@ -519,8 +521,8 @@ def cbrt(u):
             return 0.0
         return math.copysign(abs(u) ** (1.0 / 3.0), u)
     u0 = u.value
-    raise_where(u0 == 0.0,
-                lambda: DomainEvalError("cube root at a zero constant term is not smooth"))
+    u = raise_where(u0 == 0.0,
+                    lambda: DomainEvalError("cube root at a zero constant term is not smooth"), u)
     negative = u0 < 0.0
     return _flip(_binomial_series(_flip(u, negative), 1.0 / 3.0), negative)
 
@@ -530,8 +532,9 @@ def jabs(u):
     if isinstance(u, (int, float)):
         return abs(u)
     u0 = u.value
-    raise_where(u0 == 0.0,
-                lambda: DomainEvalError("absolute value at a zero constant term is not smooth"))
+    u = raise_where(u0 == 0.0,
+                    lambda: DomainEvalError("absolute value at a zero constant term is not smooth"),
+                    u)
     return _flip(u, u0 < 0.0)
 
 
@@ -555,8 +558,9 @@ def real_power(u, r: float):
         m = int(round(three_r))
         return cbrt(u) ** m
     u0 = u.value
-    raise_where(u0 <= 0.0,
-                lambda: DomainEvalError(f"non-integer power {r} of non-positive value {u0}"))
+    u = raise_where(u0 <= 0.0,
+                    lambda: DomainEvalError(f"non-integer power {r} of non-positive value {u0}"),
+                    u)
     return _binomial_series(u, r)
 
 

@@ -18,9 +18,8 @@ coefficient is solved as its own right-hand side, which keeps every
 solution coefficient bit-identical to a one-column ``lu_solve``.
 
 Entries may be batched jets (one row per point).  Each point of a batch is
-then solved on its own with the same LAPACK calls, and points whose
-system is singular make the solve raise
-:class:`~invar3.errors.BatchRowError` naming them.
+then solved on its own with the same LAPACK calls, and a point whose
+system is singular gets NaN rows in the solution and the report.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dgetrf, dgetrs
 
-from .errors import BatchRowError, ConditioningWarning, SingularSymbolError
+from .errors import ConditioningWarning, SingularSymbolError
 from .jets import Jet2, ncoef
 
 __all__ = ["solve_jet_system", "JetSolveReport"]
@@ -106,8 +105,7 @@ def solve_jet_system(M, b, *, cond_warn: float = 1e12,
     truncation order of the inputs.  Emits :class:`ConditioningWarning`
     when the constant-term matrix has condition number above
     ``cond_warn``; raises :class:`SingularSymbolError` when it is
-    numerically singular (:class:`BatchRowError` naming the singular
-    points of a batch).
+    numerically singular (NaN rows at the singular points of a batch).
     """
     n = len(b)
     entries = [e for row in M for e in row]
@@ -127,15 +125,12 @@ def solve_jet_system(M, b, *, cond_warn: float = 1e12,
     bc = system[:, n * n:]
     X = np.empty((batch, n, nc))
     det, cond, residual = np.empty(batch), np.empty(batch), np.empty(batch)
-    singular = []
     for r in range(batch):
         try:
             X[r], det[r], cond[r], residual[r] = _solve_point(
                 Mc[r], bc[r], order, cond_warn, singular_message)
         except SingularSymbolError:
-            singular.append(r)
-    if singular:
-        raise BatchRowError(singular)
+            X[r] = det[r] = cond[r] = residual[r] = np.nan
     x = [Jet2._new(order, X[:, i]) for i in range(n)]
     return x, JetSolveReport(det=det, cond=cond, residual=residual)
 

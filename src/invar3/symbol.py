@@ -219,7 +219,7 @@ def wagner_metric(sigma: Symbol3, *, threshold: float = 1e-12) -> Sym2Form:
     """
     a1, a2, a3, a4 = sigma.components
     delta = discriminant(sigma)
-    _require_regular(delta, sigma.norm(), threshold)
+    delta = _require_regular(delta, sigma.norm(), threshold, delta)
     croot = jets.cbrt(delta)
     factor = 4 / (croot * croot)
     return Sym2Form(factor * (a2 * a4 - a3 * a3),
@@ -239,15 +239,17 @@ def scaled_hessian(sigma: Symbol3, k: float, *, threshold: float = 1e-12) -> Sym
     """
     h = hessian(sigma)
     h2 = _iterated_hessian(h)
-    _require_regular(h2, sigma.norm(), threshold)
+    h = Sym2Form(*_require_regular(h2, sigma.norm(), threshold, h.components),
+                 variance=h.variance)
     if k == 0:
         return h
     w = jets.real_power(h2, k)
     return Sym2Form(h.g11 * w, h.g12 * w, h.g22 * w, variance="contra")
 
 
-def _require_regular(delta, scale, threshold: float) -> None:
+def _require_regular(delta, scale, threshold: float, guarded):
+    """``guarded``, checked for a discriminant ``delta`` away from zero."""
     d = value_of(delta)
     floor = threshold * max_of((scale, 1e-300)) ** 4
-    raise_where(abs(d) <= floor, lambda: SingularSymbolError(
-        f"symbol is singular: |discriminant| = {abs(d):.3g} <= {floor:.3g}"))
+    return raise_where(abs(d) <= floor, lambda: SingularSymbolError(
+        f"symbol is singular: |discriminant| = {abs(d):.3g} <= {floor:.3g}"), guarded)

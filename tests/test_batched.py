@@ -6,6 +6,8 @@ The comparisons are exact (``np.array_equal``, bit for bit): each row runs
 the same floating-point operations in the same order as a single point.
 """
 
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,7 +17,7 @@ from conftest import random_one_root_symbol, random_operator, rng_for
 from invar3 import jets
 from invar3.equivalence import (DomainGrid, EquivConfig, build_natural_model,
                                 line_bundle_connection)
-from invar3.errors import BatchRowError, DomainEvalError, SingularSymbolError
+from invar3.errors import DomainEvalError, RegularityError, SingularSymbolError
 from invar3.expr import parse
 from invar3.invariants import OperatorInvariants, operator_invariants
 from invar3.jets import Jet2, compose, ncoef
@@ -93,16 +95,21 @@ def test_compose_acts_row_by_row(triple):
                      [compose(f0, b, c) for b, c in zip(rows_of(p1), rows_of(p2))])
 
 
-def test_pointwise_checks_name_the_failing_rows():
+def test_pointwise_checks_turn_failing_rows_nan():
     u = Jet2(2, np.array([[1.0, 0.1, 0, 0, 0, 0], [0.0, 1, 0, 0, 0, 0],
                           [-2.0, 0, 0, 0, 0, 0]]))
-    with pytest.raises(BatchRowError) as err:
-        1.0 / u
-    assert err.value.rows.tolist() == [1]
-    with pytest.raises(BatchRowError) as err:
-        jets.ln(u)
-    assert err.value.rows.tolist() == [1, 2]
-    # one point raises exactly as it always has
+    checked = ((lambda v: 1.0 / v, [1]), (jets.ln, [1, 2]), (jets.sqrt, [1, 2]),
+               (jets.cbrt, [1]), (jets.jabs, [1]), (lambda v: jets.real_power(v, 0.7), [1, 2]))
+    for fn, failing in checked:
+        got = fn(u)
+        for i, row in enumerate(rows_of(u)):
+            if i in failing:
+                assert np.isnan(got.c[i]).all()
+                # one point raises exactly as it always has
+                with pytest.raises(DomainEvalError):
+                    fn(row)
+            else:
+                assert np.array_equal(got.c[i], fn(row).c)
     with pytest.raises(DomainEvalError, match="zero constant term"):
         1.0 / rows_of(u)[1]
 
@@ -133,15 +140,22 @@ def test_jet_solve_solves_each_point_as_alone(system):
         assert (report.det[i], report.cond[i], report.residual[i]) == (ri.det, ri.cond, ri.residual)
 
 
-def test_jet_solve_names_singular_points():
+def test_jet_solve_turns_singular_points_nan():
     one = Jet2(1, np.ones((3, 3)))
     lower = Jet2(1, np.array([[2.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]]))
-    with pytest.raises(BatchRowError) as err:
-        solve_jet_system([[one, one], [one, lower]], [one, one])
-    assert err.value.rows.tolist() == [1]
-    with pytest.raises(SingularSymbolError):
-        solve_jet_system([[one.row(1), one.row(1)], [one.row(1), lower.row(1)]],
-                         [one.row(1), one.row(1)])
+    x, report = solve_jet_system([[one, one], [one, lower]], [one, one])
+    for i in range(3):
+        system = ([[one.row(i), one.row(i)], [one.row(i), lower.row(i)]],
+                  [one.row(i), one.row(i)])
+        if i == 1:
+            assert all(np.isnan(xk.c[i]).all() for xk in x)
+            assert np.isnan([report.det[i], report.cond[i], report.residual[i]]).all()
+            with pytest.raises(SingularSymbolError):
+                solve_jet_system(*system)
+            continue
+        xi, ri = solve_jet_system(*system)
+        assert all(np.array_equal(got.c[i], want.c) for got, want in zip(x, xi, strict=True))
+        assert (report.det[i], report.cond[i], report.residual[i]) == (ri.det, ri.cond, ri.residual)
 
 
 def _jets(inv: OperatorInvariants) -> list:
@@ -151,11 +165,11 @@ def _jets(inv: OperatorInvariants) -> list:
     return out
 
 
-def _per_point(op, pts, mode):
+def _per_point(op, pts, mode, rel_tol=1e-9):
     out = []
     for p in pts:
         try:
-            out.append(operator_invariants(op, *p, mode=mode))
+            out.append(operator_invariants(op, *p, mode=mode, rel_tol=rel_tol))
         except Exception as err:  # the batch must report the same error
             out.append(err)
     return out
@@ -195,6 +209,66 @@ def test_masked_points_keep_their_reasons(mode):
     single = _per_point(hyp, pts, mode)
     _assert_same(batched, single)
     assert sum(isinstance(r, Exception) for r in batched) == 16
+
+
+# criterion 10's operator with three ways to fail: ln leaves its domain for
+# x <= -0.5, the symbol vanishes on y = -1, and the conformal frame is not
+# regular where the unscaled operator's is not (a degenerate quadratic form;
+# at the looser tolerance also a null covector)
+MIXED = dict(HYP, b2="0.3*y + 0.1*ln(x + 0.5)",
+             a2=f"(y + 1) * {HYP['a2']}", a3=f"(y + 1) * {HYP['a3']}")
+
+
+@cache
+def _mixed_grid(mode, rel_tol):
+    op = Operator3(**{k: parse(v) for k, v in MIXED.items()})
+    pts = DomainGrid(-1.0, 1.0, -1.0, 1.0, 16, 16).points()
+    return op, pts, _per_point(op, pts, mode, rel_tol)
+
+
+@st.composite
+def mixed_batches(draw):
+    """A mode, a tolerance, and points drawn from each outcome of the mixed
+    grid (by error type and failed condition), shuffled."""
+    mode = draw(st.sampled_from(["scalar", "bundle"]))
+    rel_tol = draw(st.sampled_from([1e-9, 1e-2]))
+    _op, _pts, single = _mixed_grid(mode, rel_tol)
+    pools: dict = {}
+    for k, res in enumerate(single):
+        pools.setdefault((type(res), tuple(getattr(res, "conditions", ()))), []).append(k)
+    assert {kind for kind, _ in pools} == {OperatorInvariants, DomainEvalError,
+                                          SingularSymbolError, RegularityError}
+    picks = [k for pool in pools.values()
+             for k in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))]
+    return mode, rel_tol, draw(st.permutations(picks))
+
+
+@settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mixed_batches())
+def test_mixed_failures_in_one_batch_keep_their_reasons(drawn):
+    mode, rel_tol, picks = drawn
+    op, pts, single = _mixed_grid(mode, rel_tol)
+    batched = operator_invariants(op, [pts[k][0] for k in picks], [pts[k][1] for k in picks],
+                                  mode=mode, rel_tol=rel_tol)
+    _assert_same(batched, [single[k] for k in picks])
+
+
+def test_per_point_makes_one_batched_pass(monkeypatch):
+    from invar3 import invariants
+    batched = []
+    compute = invariants._operator_invariants
+
+    def counted(op, x, y, mode, rel_tol):
+        batched.append(isinstance(x, list))
+        return compute(op, x, y, mode, rel_tol)
+
+    monkeypatch.setattr(invariants, "_operator_invariants", counted)
+    hyp = Operator3(**{k: parse(v) for k, v in HYP.items()})
+    pts = DomainGrid(0.0, 1.0, 0.0, 1.0, 16, 16).points()
+    out = operator_invariants(hyp, [p[0] for p in pts], [p[1] for p in pts])
+    assert sum(isinstance(r, Exception) for r in out) == 16
+    # one pass over the grid, then the 16 masked points alone
+    assert batched.count(True) == 1 and batched.count(False) == 16
 
 
 def test_bundle_model_reuses_the_connection_form_of_its_fields():

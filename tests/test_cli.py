@@ -1,6 +1,7 @@
 """CLI contract: exit codes, document shape, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -186,17 +187,14 @@ def test_malformed_spec_exit_3(tmp_path, capsys, change):
 
 def test_documents_are_byte_identical(tmp_path):
     spec = write_spec(tmp_path, "hyp.json", HYP)
-    outs = []
-    for k in range(2):
-        out = tmp_path / f"run{k}.json"
-        assert main(["invariants", spec, "--mode", "symbol", "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-    for k in range(2):
-        out = tmp_path / f"cls{k}.json"
-        assert main(["classify", spec, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[2] == outs[3]
+    for command, *options in (["invariants", "--mode", "symbol"],
+                              ["invariants", "--mode", "bundle"], ["classify"]):
+        outs = []
+        for k in range(2):
+            out = tmp_path / f"run{k}.json"
+            assert main([command, spec, *options, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 def test_csv_output(tmp_path, capsys):
@@ -232,16 +230,6 @@ def test_split_csv(tmp_path, capsys):
     assert len(lines) == 65
 
 
-def test_threads_env_var_keeps_documents_identical(tmp_path, monkeypatch):
-    spec = write_spec(tmp_path, "hyp.json", HYP)
-    out1 = tmp_path / "t1.json"
-    assert main(["classify", spec, "--out", str(out1)]) == 0
-    monkeypatch.setenv("INVAR3_THREADS", "4")
-    out2 = tmp_path / "t2.json"
-    assert main(["classify", spec, "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def hyp_variant(tmp_path, name, tolerances=None, **coefficients):
     """Criterion 10's operator with some coefficients replaced."""
     payload = json.loads(json.dumps(HYP))
@@ -251,26 +239,48 @@ def hyp_variant(tmp_path, name, tolerances=None, **coefficients):
     return write_spec(tmp_path, name, payload)
 
 
-def test_overflowing_coefficient_masks_split_points(tmp_path):
+def run_quietly(tmp_path, capsys, *argv):
+    """:func:`run`, checking that no numpy ``RuntimeWarning`` is raised
+    or written to stderr on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(tmp_path, *argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    return result
+
+
+def test_overflowing_coefficient_masks_split_points(tmp_path, capsys):
     # exp(800 x) overflows a double on the column x = 1
     spec = hyp_variant(tmp_path, "ovf.json", b1="exp(800*x)")
-    code, doc = run(tmp_path, "split", spec)
+    code, doc = run_quietly(tmp_path, capsys, "split", spec)
     assert code == 0
     masked = [p for p in doc["outputs"]["points"] if not p["regular"]]
     assert doc["outputs"]["masked_points"] == len(masked) == 8
     assert {p["x"] for p in masked} == {1.0}
     assert all(p["reason"] for p in masked)
+    code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "bundle")
+    assert code == 0
+    masked = [p for p in doc["outputs"]["points"] if not p["regular"]]
+    assert doc["outputs"]["masked_points"] == len(masked) == 8
+    assert {p["x"] for p in masked} == {1.0}
 
 
-def test_overflowing_symbol_masks_points(tmp_path):
+def test_overflowing_symbol_masks_points(tmp_path, capsys):
     spec = hyp_variant(tmp_path, "ovf.json", a2="exp(800*x) / 3")
-    code, doc = run(tmp_path, "classify", spec)
+    code, doc = run_quietly(tmp_path, capsys, "classify", spec)
     assert code == 3
     assert len(doc["outputs"]["domain_errors"]) == 48
-    code, doc = run(tmp_path, "invariants", spec, "--mode", "symbol")
+    code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "symbol")
     assert code == 0
     assert 0 < doc["outputs"]["masked_points"] < 64
-    code, doc = run(tmp_path, "invariants", spec, "--mode", "conformal")
+    code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "conformal")
+    assert code == 2
+    assert doc["outputs"]["regular_points"] == 0
+    code, doc = run_quietly(tmp_path, capsys, "split", spec)
+    assert code == 0
+    assert doc["outputs"]["masked_points"] == 56
+    code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "bundle")
     assert code == 2
     assert doc["outputs"]["regular_points"] == 0
 
