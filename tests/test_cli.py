@@ -230,6 +230,16 @@ def test_split_csv(tmp_path, capsys):
     assert len(lines) == 65
 
 
+def test_threads_env_var_keeps_documents_identical(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, "hyp.json", HYP)
+    out1 = tmp_path / "t1.json"
+    assert main(["classify", spec, "--out", str(out1)]) == 0
+    monkeypatch.setenv("INVAR3_THREADS", "4")
+    out2 = tmp_path / "t2.json"
+    assert main(["classify", spec, "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def hyp_variant(tmp_path, name, tolerances=None, **coefficients):
     """Criterion 10's operator with some coefficients replaced."""
     payload = json.loads(json.dumps(HYP))
