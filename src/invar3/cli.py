@@ -19,12 +19,12 @@ import numpy as np
 from . import __version__
 from .equivalence import (DomainGrid, EquivConfig, equation_equivalent,
                           equivalent_bundle, equivalent_scalar)
-from .errors import Invar3Error, ParseError, masked
+from .errors import Invar3Error, ParseError
 from .expr import parse
-from .invariants import (conformal_invariants, decompose_cubic,
-                         operator_invariants, symbol_coframe_point)
+from .invariants import (_operator_invariants, _per_point, conformal_invariants,
+                         decompose_cubic, symbol_coframe_point)
 from .quantize import Operator3, _connection_for, quantize_sum, split
-from .symbol import Symbol3, classify, value_of
+from .symbol import Symbol3, classify, max_of, value_of
 
 SCHEMA_VERSION = 1
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "c1", "c2", "a0")
@@ -128,12 +128,14 @@ def _point_record(x: float, y: float, payload: dict) -> dict:
     return {"x": x, "y": y, **payload}
 
 
-def _grid_records(grid: DomainGrid, values_at) -> tuple[list, int]:
-    """One record per grid point, holding ``values_at(x, y)`` or the reason
-    the point is masked, and the number of masked points."""
+def _grid_records(grid: DomainGrid, values) -> tuple[list, int]:
+    """One record per grid point, holding ``values(x, y)`` or the reason
+    the point is masked, and the number of masked points.  ``values`` works
+    on either rank and runs once on the whole grid (see
+    :func:`invar3.invariants._per_point`)."""
     pts = grid.points()
     records = []
-    for (x, y), v in zip(pts, masked(values_at, pts)):
+    for (x, y), v in zip(pts, _per_point(values, [p[0] for p in pts], [p[1] for p in pts])):
         payload = ({"regular": False, "reason": str(v)} if isinstance(v, Exception)
                    else {"values": v, "regular": True})
         records.append(_point_record(x, y, payload))
@@ -147,14 +149,17 @@ def cmd_classify(args) -> int:
     op: Operator3 = spec["operator"]
     sym = Symbol3(*op.components[:4])
     threshold = spec["tolerances"]["classify_threshold"]
-    pts = spec["grid"].points()
-    records = []
-    errors = []
-    for (x, y), c in zip(pts, masked(lambda x, y: classify(sym.at(x, y, 0), threshold), pts)):
-        if isinstance(c, Exception):
-            errors.append(_point_record(x, y, {"error": str(c)}))
-        else:
-            records.append(_point_record(x, y, {"kind": c.kind.value, "delta": c.delta}))
+
+    def values(x, y):
+        c = classify(sym.at(x, y, 0), threshold)
+        return {"kind": c.kind, "delta": c.delta}
+
+    found, _ = _grid_records(spec["grid"], values)
+    records = [_point_record(r["x"], r["y"], {"kind": r["values"]["kind"].value,
+                                             "delta": r["values"]["delta"]})
+               for r in found if r["regular"]]
+    errors = [_point_record(r["x"], r["y"], {"error": r["reason"]})
+              for r in found if not r["regular"]]
     doc = document("classify", spec["echo"],
                    {"threshold": threshold, "tolerances": spec["tolerances"]},
                    {"points": records, "domain_errors": errors})
@@ -177,14 +182,8 @@ def cmd_invariants(args) -> int:
     sym = Symbol3(*op.components[:4])
     mode = args.mode
     rel_tol = spec["tolerances"]["regularity"]
-    if mode in ("operator", "bundle"):
-        # one batched pass over the grid
-        pts = spec["grid"].points()
-        found = dict(zip(pts, operator_invariants(
-            op, [p[0] for p in pts], [p[1] for p in pts], rel_tol=rel_tol,
-            mode="bundle" if mode == "bundle" else "scalar")))
 
-    def values_at(x, y):
+    def values(x, y):
         if mode == "symbol":
             sp = sym.at(x, y, 1)
             comps = decompose_cubic(sp, symbol_coframe_point(sp, rel_tol=rel_tol))
@@ -195,15 +194,13 @@ def cmd_invariants(args) -> int:
             payload["pivot"] = iv.pivot
             payload.update({f"ratio{k + 1}": r for k, r in enumerate(iv.ratios)})
         else:
-            inv = found[(x, y)]
-            if isinstance(inv, Exception):
-                raise inv
-            payload = inv.flat()
+            payload = _operator_invariants(op, x, y, "bundle" if mode == "bundle" else "scalar",
+                                           rel_tol).flat()
         if args.check:
             payload["checks"] = _residual_checks(sym, x, y)
         return payload
 
-    records, masked = _grid_records(spec["grid"], values_at)
+    records, masked = _grid_records(spec["grid"], values)
     doc = document("invariants", spec["echo"],
                    {"mode": mode, "check": bool(args.check),
                     "tolerances": spec["tolerances"]},
@@ -238,9 +235,9 @@ def _residual_checks(sym: Symbol3, x: float, y: float) -> dict:
     R = curvature(gamma)
     omega_p3 = omega + theta.scale(3.0)
     return {
-        "parallel_residual": max(r.norm() for r in res),
+        "parallel_residual": max_of(r.norm() for r in res),
         "omega_plus_3theta": omega_p3.norm(),
-        "parallel_curvature": max(R[k][j].r.norm() for k in range(2) for j in range(2)),
+        "parallel_curvature": max_of(R[k][j].r.norm() for k in range(2) for j in range(2)),
     }
 
 
@@ -248,13 +245,13 @@ def cmd_split(args) -> int:
     spec = load_spec(args.spec)
     op: Operator3 = spec["operator"]
 
-    def values_at(x, y):
+    def values(x, y):
         opp = op.at(x, y, 2)
         gamma = _connection_for(opp.principal_symbol(), args.connection)
         ts = split(opp, gamma=gamma)
         back = quantize_sum(ts, gamma)
-        resid = max(abs(value_of(getattr(opp, n)) - value_of(getattr(back, n)))
-                    for n in COEFF_NAMES)
+        resid = max_of(abs(value_of(getattr(opp, n)) - value_of(getattr(back, n)))
+                       for n in COEFF_NAMES)
         return {
             "sigma3": [value_of(c) for c in ts.sigma3.components],
             "sigma2": [value_of(c) for c in ts.sigma2],
@@ -263,7 +260,7 @@ def cmd_split(args) -> int:
             "roundtrip_residual": resid,
         }
 
-    records, singular = _grid_records(spec["grid"], values_at)
+    records, singular = _grid_records(spec["grid"], values)
     doc = document("split", spec["echo"],
                    {"connection": args.connection, "tolerances": spec["tolerances"]},
                    {"points": records, "masked_points": singular})

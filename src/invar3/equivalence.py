@@ -1144,6 +1144,9 @@ def _as_grid_list(grid) -> list[DomainGrid]:
     return list(grid) if isinstance(grid, (list, tuple)) else [grid]
 
 
+# an overflow masks its point with a reason; numpy's floating-point warnings
+# would only repeat it
+@np.errstate(all="ignore")
 def _pairwise(op_a: Operator3, op_b: Operator3, grid_a, grid_b, tol: float,
               cfg: EquivConfig, mode: str) -> Verdict:
     # stage one and the charts depend on the principal symbol alone, so two

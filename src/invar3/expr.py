@@ -19,8 +19,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jets
-from .errors import DomainEvalError, ParseError, UnknownIdentifierError, masked
+from .errors import (POINT_ERRORS, DomainEvalError, ParseError,
+                     UnknownIdentifierError, masked)
 from .jets import Jet2
 
 __all__ = [
@@ -378,21 +381,49 @@ def parse(text: str) -> Expr:
 
 # -- evaluation ----------------------------------------------------------------
 
-def eval_jet(e: Expr, p: tuple[float, float], order: int = 5) -> Jet2:
+def eval_jet(e: Expr, p: tuple, order: int = 5) -> Jet2:
     """Exact order-``order`` Taylor expansion of ``e`` at the point ``p``.
 
     The engine-wide default depth of 5 covers the deepest standard
     pipeline (a frame derivative of a conformal invariant); pass exactly
     what a computation needs to avoid paying for unused orders.
+
+    ``p`` may also hold two equal-length sequences of coordinates: every
+    node then runs once on batched jets, one row per point.  A row is the
+    point's jet bit for bit, or NaN: NaN wherever the point alone raises,
+    and where a zeroth power turns a NaN base into 1 at the point alone.
+    A batch that raises as a whole (an overflow in a series coefficient, a
+    constant zero divisor) is evaluated point by point instead.
     """
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression node: {e!r}")
-    result = e._jet(Jet2.variable(p[0], 0, order), Jet2.variable(p[1], 1, order))
-    if isinstance(result, (int, float)):
-        result = Jet2.constant(result, order)
-    if not result.is_finite():
-        raise DomainEvalError(f"evaluation of {e} at {p} produced non-finite coefficients")
-    return result
+    x, y = p
+    if isinstance(x, (int, float, np.number)):
+        result = e._jet(Jet2.variable(x, 0, order), Jet2.variable(y, 1, order))
+        if isinstance(result, (int, float)):
+            result = Jet2.constant(result, order)
+        if not result.is_finite():
+            raise DomainEvalError(f"evaluation of {e} at {p} produced non-finite coefficients")
+        return result
+    with np.errstate(all="ignore"):
+        try:
+            c = jets.as_jet(e._jet(Jet2.variable(x, 0, order), Jet2.variable(y, 1, order)),
+                            order).c
+        # a ValueError is a math function off its domain (sin of an infinity),
+        # which aborts the points one by one as it always has
+        except (*POINT_ERRORS, ValueError):
+            return _stacked(masked(lambda xk, yk: eval_jet(e, (xk, yk), order), zip(x, y)),
+                            order)
+    c = np.broadcast_to(c, (len(x), jets.ncoef(order)))
+    return Jet2._new(order, np.where(np.isfinite(c).all(axis=1, keepdims=True), c, np.nan))
+
+
+def _stacked(rows: list, order: int) -> Jet2:
+    """One batched jet from per-point jets, with an all-NaN row for each
+    point error."""
+    k = next((r.order for r in rows if isinstance(r, Jet2)), order)
+    failed = Jet2(k, [float("nan")] * jets.ncoef(k))
+    return jets.stack([failed if isinstance(r, Exception) else r for r in rows])
 
 
 # -- symbolic differentiation ---------------------------------------------------
@@ -463,14 +494,17 @@ def coefficient_field(component):
 def field_at(component, x, y, order: int) -> Jet2:
     """Jet of a coefficient component at the point (x, y).
 
-    ``x`` and ``y`` may also be equal-length sequences: the jets at those
-    points are then stacked into one batched jet, with NaN rows where
-    evaluation fails (computed alone, such a point raises the error).
+    ``x`` and ``y`` may also be equal-length sequences: the result is then
+    one batched jet, with NaN rows where evaluation fails (computed alone,
+    such a point raises the error).  Expressions, strings and numbers are
+    evaluated once for the whole batch (see :func:`eval_jet`); a callable
+    field is called point by point.
     """
+    if isinstance(x, (int, float, np.number)):
+        return coefficient_field(component)(x, y, order)
+    if isinstance(component, str):
+        component = parse(component)
+    if isinstance(component, (Expr, int, float)):
+        return eval_jet(_lift(component), (x, y), order)
     f = coefficient_field(component)
-    if isinstance(x, (int, float)):
-        return f(x, y, order)
-    rows = masked(lambda xk, yk: f(xk, yk, order), zip(x, y))
-    k = next((r.order for r in rows if isinstance(r, Jet2)), order)
-    failed = Jet2(k, [float("nan")] * jets.ncoef(k))
-    return jets.stack([failed if isinstance(r, Exception) else r for r in rows])
+    return _stacked(masked(lambda xk, yk: f(xk, yk, order), zip(x, y)), order)

@@ -23,14 +23,15 @@ Decomposing the symbol in the dual frame yields the four basic scalar
 invariants; Tresse derivatives differentiate invariant pipelines along
 the frame by jet propagation, never by finite differences.
 
-The conformal frame and the operator invariants run on batched jets as
-well (one row per point, see :mod:`invar3.jets`); a regularity check that
-fails there turns its rows to NaN instead of raising.
+The coframes and the invariants run on batched jets as well (one row per
+point, see :mod:`invar3.jets`); a regularity check that fails there turns
+its rows to NaN instead of raising.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -40,7 +41,8 @@ from .connection import (AffineConnection, OneForm, TwoForm, chern_connection,
                          covariant_derivative_oneform,
                          covariant_derivative_twoform, exterior_derivative,
                          torsion_form, wagner_connection)
-from .errors import POINT_ERRORS, RegularityError, masked, raise_where
+from .errors import (POINT_ERRORS, DomainEvalError, RegularityError, masked,
+                     raise_where)
 from .jets import Jet2
 from .quantize import Operator3, split
 from .symbol import Sym2Form, Symbol3, max_of, scaled_hessian, value_of
@@ -113,10 +115,6 @@ class OperatorInvariants:
     curvature_k: Any = None
     connection: OneForm | None = None
 
-    def row(self, i: int) -> "OperatorInvariants":
-        """The invariants at point ``i`` of a batch."""
-        return OperatorInvariants(*(_row_of(getattr(self, f.name), i) for f in fields(self)))
-
     def flat(self) -> dict:
         out = {}
         for n, v in zip(("J3_1", "J3_2", "J3_3", "J3_4"), self.sigma3):
@@ -129,16 +127,6 @@ class OperatorInvariants:
         if self.curvature_k is not None:
             out["K"] = value_of(self.curvature_k)
         return out
-
-
-def _row_of(v, i: int):
-    if isinstance(v, Jet2):
-        return v.row(i)
-    if isinstance(v, tuple):
-        return tuple(_row_of(w, i) for w in v)
-    if isinstance(v, OneForm):
-        return OneForm(_row_of(v.t1, i), _row_of(v.t2, i))
-    return v
 
 
 # -- tensor decompositions in a frame ------------------------------------------
@@ -372,16 +360,27 @@ def conformal_invariants(symbol_field: Symbol3, x: float, y: float, *,
 
     The symbol is decomposed in the conformal coframe; the result is
     normalized by the component of largest magnitude (recorded as the
-    pivot).
+    pivot).  At sequences of points the pipeline runs on batched jets, and
+    the pivot and ratios hold one entry per point (NaN ratios where a check
+    fails).
     """
     data = conformal_frame_data(symbol_field, x, y, rel_tol=rel_tol)
     comps = decompose_cubic(data.symbol, data.coframe)
-    vals = [value_of(c) for c in comps]
-    pivot = max(range(4), key=lambda i: abs(vals[i]))
-    if abs(vals[pivot]) <= pivot_floor * max(1e-300, max(abs(v) for v in vals) or 1.0):
-        raise RegularityError("projective normalization failed", ["all components vanish"])
-    ratios = tuple(v / vals[pivot] for v in vals)
-    return InvariantVector(*comps, pivot=pivot, ratios=ratios)
+    vals = np.array([value_of(c) for c in comps])  # (4,) at a point, (4, N) on a batch
+    mags = np.abs(vals)
+    top = mags.max(axis=0)
+    vals = raise_where(top <= pivot_floor * np.maximum(1e-300, np.where(top == 0.0, 1.0, top)),
+                       lambda: RegularityError("projective normalization failed",
+                                               ["all components vanish"]), vals)
+    pivot = mags.argmax(axis=0)  # the first largest, as max() picks it
+    ratios = vals / np.take_along_axis(vals, pivot[None], axis=0)
+    return InvariantVector(*comps, pivot=_unboxed(pivot),
+                           ratios=tuple(_unboxed(r) for r in ratios))
+
+
+def _unboxed(v):
+    """A Python number for a numpy scalar (one point); arrays unchanged."""
+    return v.item() if np.ndim(v) == 0 else v
 
 
 # -- operator invariants ------------------------------------------------------------
@@ -399,7 +398,8 @@ def operator_invariants(op_field: Operator3, x, y, *,
     pipeline then runs once, on batched jets of all the points, where a
     failed check turns its points' rows to NaN and the pass goes on.  The
     result is a list holding, per point, its :class:`OperatorInvariants`
-    or the error that masks it: the error the point raises on its own.
+    or the error that masks it: the error the point raises on its own, or
+    one naming the invariants that come out non-finite there.
     """
     if isinstance(x, (int, float)):
         return _operator_invariants(op_field, x, y, mode, rel_tol)
@@ -407,25 +407,62 @@ def operator_invariants(op_field: Operator3, x, y, *,
                       list(x), list(y))
 
 
-def _per_point(compute: Callable, xs: list, ys: list) -> list:
+@np.errstate(all="ignore")
+def _per_point(compute: Callable, xs, ys) -> list:
     """``compute`` run once on a batch of points, split into one result or
     error per point.
 
-    The points whose batched invariants are not all finite (among them
-    every point that failed a check) are computed alone, so that every
-    point gets exactly its one-point result or error.  A batch that fails
-    as a whole leaves every point to be computed alone.
+    ``compute(x, y)`` works on either rank: at a point it returns a result
+    (numbers in dicts, lists and tuples, or an object with a ``flat()``
+    dict of them, such as :class:`OperatorInvariants`) or raises the error
+    that masks the point; at sequences of points it returns the same
+    structure with arrays or batched jets in place of the numbers.  Rows
+    that are not all finite (every point that failed a check among them)
+    are computed alone, so each point gets exactly its one-point result or
+    error; a one-point result that is still not finite is masked, naming
+    its non-finite values.  A batch that fails as a whole leaves every
+    point to be computed alone.
     """
+    xs, ys = list(xs), list(ys)
     try:
-        batch = compute(xs, ys)
-        out = [batch.row(i) for i in range(len(xs))]
+        out = _rows(compute(xs, ys), len(xs))
     except POINT_ERRORS:
         out = [None] * len(xs)
-    alone = [k for k, res in enumerate(out)
-             if res is None or not np.isfinite(list(res.flat().values())).all()]
+    alone = [k for k, res in enumerate(out) if res is None or _non_finite(res)]
     for k, res in zip(alone, masked(compute, [(xs[k], ys[k]) for k in alone])):
-        out[k] = res
+        bad = [] if isinstance(res, Exception) else _non_finite(res)
+        out[k] = DomainEvalError(f"non-finite {', '.join(bad)}") if bad else res
     return out
+
+
+def _rows(batch, n: int) -> list:
+    """The ``n`` per-point results held in a batch result."""
+    if isinstance(batch, np.ndarray):
+        return batch.tolist()
+    if isinstance(batch, dict):
+        return [dict(zip(batch, row)) for row in _rows(list(batch.values()), n)]
+    if is_dataclass(batch):
+        return [type(batch)(*row) for row in _rows([getattr(batch, f.name)
+                                                   for f in fields(batch)], n)]
+    if isinstance(batch, (list, tuple)):
+        columns = [_rows(v, n) for v in batch]
+        return [type(batch)(col[i] for col in columns) for i in range(n)]
+    if hasattr(batch, "row"):  # a batched jet
+        return [batch.row(i) for i in range(n)]
+    return [batch] * n
+
+
+def _non_finite(result, name: str = "") -> list:
+    """Sorted names of the non-finite numbers in a one-point result."""
+    if callable(getattr(result, "flat", None)):
+        result = result.flat()
+    if isinstance(result, dict):
+        named = [(f"{name}.{k}" if name else k, v) for k, v in result.items()]
+    elif isinstance(result, (list, tuple)):
+        named = [(f"{name}[{k}]", v) for k, v in enumerate(result)]
+    else:  # a number, or a label such as a symbol kind
+        return [name] if isinstance(result, float) and not math.isfinite(result) else []
+    return sorted(bad for key, v in named for bad in _non_finite(v, key))
 
 
 def _operator_invariants(op_field: Operator3, x, y, mode: str,

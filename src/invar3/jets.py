@@ -189,14 +189,17 @@ class Jet2:
         return _make(order, c)
 
     @classmethod
-    def variable(cls, value: float, axis: int, order: int) -> "Jet2":
-        """Jet of the coordinate function x (axis 0) or y (axis 1)."""
+    def variable(cls, value, axis: int, order: int) -> "Jet2":
+        """Jet of the coordinate function x (axis 0) or y (axis 1); a
+        batch of them when ``value`` is an array of coordinates."""
         if order < 0:
             raise OrderMismatchError("jet order must be non-negative")
-        c = np.zeros(ncoef(order))
-        c[0] = value
+        n = ncoef(order)
+        c = np.zeros(n if isinstance(value, (int, float, np.number)) else (len(value), n))
+        # the transpose puts the coefficient index first on either rank
+        c.T[0] = value
         if order >= 1:
-            c[pack_index(1 - axis, axis)] = 1.0
+            c.T[pack_index(1 - axis, axis)] = 1.0
         return _make(order, c)
 
     # -- inspection --------------------------------------------------------
@@ -355,6 +358,9 @@ class Jet2:
         if n < 0:
             return _reciprocal(self) ** (-n)
         result = Jet2.constant(1.0, self.order)
+        if n == 0 and self.c.ndim == 2:
+            # one row per point, and a failed (NaN) row stays failed
+            return result * np.where(np.isnan(self.c[:, 0]), np.nan, 1.0)
         base = self
         k = n
         while k:

@@ -169,19 +169,29 @@ def classify(sigma: Symbol3, threshold: float = 1e-9) -> Classification:
     The discriminant is compared after normalization by the fourth power of
     the largest coefficient magnitude, so ``classify(c * sigma)`` agrees
     with ``classify(sigma)`` for any c != 0.
+
+    A batched symbol is classified row by row: ``kind`` then holds one
+    :class:`SymbolKind` per row and ``delta`` one value per row, NaN where
+    the normalization fails (a point alone raises there).
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     delta = value_of(discriminant(sigma))
-    scale = max(abs(value_of(c)) for c in sigma.components)
-    normalized = delta / scale ** 4 if scale > 0 else 0.0
-    if normalized > threshold:
-        kind = SymbolKind.HYPERBOLIC
-    elif normalized < -threshold:
-        kind = SymbolKind.ULTRAHYPERBOLIC
+    scale = max_of(abs(value_of(c)) for c in sigma.components)
+    if isinstance(scale, np.ndarray):
+        with np.errstate(all="ignore"):
+            scale4 = scale ** 4
+            normalized = np.where(scale > 0, delta / scale4, 0.0)
+        # one point raises where scale ** 4 overflows or underflows to zero
+        delta = np.where((scale > 0) & ((scale4 == 0.0) | np.isinf(scale4)), np.nan, delta)
     else:
-        kind = SymbolKind.SINGULAR
+        normalized = delta / scale ** 4 if scale > 0 else 0.0
+    kind = _KINDS[np.where(normalized > threshold, 0, np.where(normalized < -threshold, 1, 2))]
     return Classification(kind=kind, delta=delta, threshold=threshold)
+
+
+_KINDS = np.array([SymbolKind.HYPERBOLIC, SymbolKind.ULTRAHYPERBOLIC, SymbolKind.SINGULAR],
+                  dtype=object)
 
 
 def hessian(sigma: Symbol3) -> Sym2Form:

@@ -6,6 +6,7 @@ The comparisons are exact (``np.array_equal``, bit for bit): each row runs
 the same floating-point operations in the same order as a single point.
 """
 
+import warnings
 from functools import cache
 
 import numpy as np
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_one_root_symbol, random_operator, rng_for
-from invar3 import jets
+from conftest import (random_one_root_symbol, random_operator,
+                      random_three_root_symbol, rng_for, small_poly)
+from invar3 import expr, jets
 from invar3.equivalence import (DomainGrid, EquivConfig, build_natural_model,
                                 line_bundle_connection)
-from invar3.errors import DomainEvalError, RegularityError, SingularSymbolError
-from invar3.expr import parse
+from invar3.errors import (POINT_ERRORS, DomainEvalError, RegularityError,
+                           SingularSymbolError)
+from invar3.expr import eval_jet, field_at, parse
 from invar3.invariants import OperatorInvariants, operator_invariants
 from invar3.jets import Jet2, compose, ncoef
 from invar3.linalg import solve_jet_system
@@ -112,6 +115,126 @@ def test_pointwise_checks_turn_failing_rows_nan():
                 assert np.array_equal(got.c[i], fn(row).c)
     with pytest.raises(DomainEvalError, match="zero constant term"):
         1.0 / rows_of(u)[1]
+
+
+def conftest_expressions(seed: int) -> list:
+    """The expressions the fixture builders draw from one seed: tame
+    polynomials, the components of random operators over three-root and
+    one-root symbols (exp, sin, cos, division by constants)."""
+    rng = rng_for(seed)
+    op = random_operator(rng, random_one_root_symbol(rng) if seed % 2 else None)
+    return [c for c in (small_poly(rng), *random_three_root_symbol(rng).components,
+                        *op.components) if isinstance(c, expr.Expr)]
+
+
+# a tree over every node kind, with arguments that leave the domain of ln,
+# sqrt, cbrt and division at some points
+_leaves = st.one_of(st.sampled_from([expr.var("x"), expr.var("y")]),
+                    st.floats(-2.0, 2.0, allow_nan=False).map(expr.const))
+expression_trees = st.recursive(_leaves, lambda sub: st.one_of(
+    st.builds(expr.Neg, sub),
+    st.builds(expr.Add, sub, sub), st.builds(expr.Sub, sub, sub),
+    st.builds(expr.Mul, sub, sub), st.builds(expr.Div, sub, sub),
+    st.builds(expr.Pow, sub, st.integers(-2, 3)),
+    st.builds(expr.Call, st.sampled_from(sorted(expr._FUNCTIONS)), sub)), max_leaves=8)
+
+grid_points = st.lists(st.tuples(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+                                 | st.floats(-1.5, 1.5, allow_nan=False),
+                                 st.sampled_from([-1.0, 0.0, 1.0])
+                                 | st.floats(-1.5, 1.5, allow_nan=False)),
+                       min_size=1, max_size=12)
+
+
+def assert_rows_are_points(e, pts, order):
+    """Batched evaluation at ``pts``: each row bit for bit the one-point
+    jet, or NaN where the point alone raises a point error.  A zeroth power
+    may also leave a NaN row where the point gets 1 from a NaN base (such
+    as (x/x)^0 at a subnormal x, where 1/x overflows)."""
+    alone = []
+    for p in pts:
+        try:
+            with np.errstate(all="ignore"):  # the one-point overflow warnings
+                alone.append(eval_jet(e, p, order))
+        except (*POINT_ERRORS, ValueError) as err:
+            alone.append(err)
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    if any(type(r) is ValueError for r in alone):
+        # a math function outside its domain aborts the points, so the batch
+        with pytest.raises(ValueError):
+            eval_jet(e, (xs, ys), order)
+        return
+    for got in (eval_jet(e, (xs, ys), order), field_at(e, xs, ys, order)):
+        assert got.order == order and got.c.shape == (len(pts), ncoef(order))
+        for row, want in zip(got.c, alone):
+            if isinstance(want, Exception):
+                assert np.isnan(row).all()
+            elif not np.array_equal(row, want.c):
+                assert np.isnan(row).all() and "^0)" in str(e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 4), grid_points)
+def test_batched_evaluation_of_fixture_expressions_matches_each_point(seed, order, pts):
+    for e in conftest_expressions(seed):
+        assert_rows_are_points(e, pts, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expression_trees, st.integers(0, 4), grid_points)
+def test_batched_evaluation_of_any_expression_matches_each_point(e, order, pts):
+    assert_rows_are_points(e, pts, order)
+
+
+@pytest.mark.parametrize("text, failing, alone", [
+    ("ln(x)", [0, 1], 0),                     # log of a non-positive value
+    ("sqrt(x - 0.75)", [0, 1, 2, 3], 0),      # even root of a non-positive value
+    ("cbrt(x - 0.5)", [2], 0),                # cube root at zero
+    ("ln(x)^0", [0, 1], 0),                   # a failed base to the power 0
+    ("exp(400*x) * exp(400*x)", [4], 0),      # overflows to infinity
+    ("exp(800*x)", [4], 5),                   # math.exp overflows: the batch raises
+    ("x / (1 - 1)", [0, 1, 2, 3, 4], 5),      # a constant zero divisor raises
+])
+def test_points_that_fail_alone_turn_nan(monkeypatch, text, failing, alone):
+    calls = []
+
+    def counted(e, p, order=5):
+        calls.append(np.ndim(p[0]))
+        return eval_jet(e, p, order)
+
+    monkeypatch.setattr(expr, "eval_jet", counted)
+    xs, ys = [-1.0, 0.0, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0, -1.0, 0.25]
+    got = field_at(parse(text), xs, ys, 3)
+    # one batched pass; the points one by one only where the batch raised
+    assert calls.count(1) == 1 and calls.count(0) == alone
+    for i, p in enumerate(zip(xs, ys)):
+        if i in failing:
+            assert np.isnan(got.c[i]).all()
+            with pytest.raises(POINT_ERRORS), np.errstate(all="ignore"):
+                eval_jet(parse(text), p, 3)
+        else:
+            assert np.array_equal(got.c[i], eval_jet(parse(text), p, 3).c)
+
+
+def test_field_at_takes_numbers_strings_and_callables():
+    xs, ys = [0.0, 0.5, 1.0], [1.0, 0.5, 0.0]
+    assert np.array_equal(field_at(2.5, xs, ys, 2).c, np.tile(Jet2.constant(2.5, 2).c, (3, 1)))
+    assert np.array_equal(field_at("x*y", xs, ys, 2).c,
+                          [eval_jet(parse("x*y"), p, 2).c for p in zip(xs, ys)])
+    calls = []
+
+    def field(x, y, order):
+        calls.append((x, y))
+        if x == 0.5:
+            raise DomainEvalError("not here")
+        return Jet2.variable(x + y, 0, order)
+
+    got = field_at(field, xs, ys, 2)
+    assert calls == list(zip(xs, ys))  # a callable stays per point
+    assert np.isnan(got.c[1]).all()
+    assert np.array_equal(got.c[[0, 2]], [Jet2.variable(1.0, 0, 2).c] * 2)
+    # a batch of coordinate jets is a stack of one-point ones
+    assert np.array_equal(Jet2.variable(np.array(xs), 1, 2).c,
+                          [Jet2.variable(x, 1, 2).c for x in xs])
 
 
 @st.composite
@@ -209,6 +332,23 @@ def test_masked_points_keep_their_reasons(mode):
     single = _per_point(hyp, pts, mode)
     _assert_same(batched, single)
     assert sum(isinstance(r, Exception) for r in batched) == 16
+
+
+def test_overflow_inside_the_pipeline_masks_points_by_name():
+    # b1 = exp(800 x) overflows the invariants from x = 3/7 on, with no check
+    # failing on the way; at x = 1 the quadratic form degenerates
+    op = Operator3(**{k: parse(v) for k, v in dict(HYP, b1="exp(800*x)").items()})
+    pts = DomainGrid(0.0, 1.0, 0.0, 1.0, 8, 8).points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = operator_invariants(op, [p[0] for p in pts], [p[1] for p in pts], mode="bundle")
+    reasons = {(round(7 * p[0]), str(r)) for p, r in zip(pts, out) if isinstance(r, Exception)}
+    assert reasons == {(3, "non-finite J0"), (4, "non-finite J0, J1_1, J1_2"),
+                       (5, "non-finite J0, J1_1, J1_2"), (6, "non-finite J0, J1_1, J1_2"),
+                       (7, "conformal frame failed: quadratic form is degenerate")}
+    assert sum(isinstance(r, Exception) for r in out) == 40
+    assert all(np.isfinite(list(r.flat().values())).all()
+               for r in out if not isinstance(r, Exception))
 
 
 # criterion 10's operator with three ways to fail: ln leaves its domain for

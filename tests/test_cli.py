@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from invar3.cli import main
+from invar3.cli import COEFF_NAMES, main
 
 HYP = {
     "schema_version": 1,
@@ -249,15 +249,20 @@ def hyp_variant(tmp_path, name, tolerances=None, **coefficients):
     return write_spec(tmp_path, name, payload)
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not valid JSON")
+
+
 def run_quietly(tmp_path, capsys, *argv):
     """:func:`run`, checking that no numpy ``RuntimeWarning`` is raised
-    or written to stderr on the way."""
+    or written to stderr on the way, and parsing the document strictly
+    (``NaN`` and ``Infinity`` are not JSON)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = run(tmp_path, *argv)
+        code, _ = run(tmp_path, *argv)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in capsys.readouterr().err
-    return result
+    return code, json.loads((tmp_path / "out.json").read_text(), parse_constant=_not_json)
 
 
 def test_overflowing_coefficient_masks_split_points(tmp_path, capsys):
@@ -269,11 +274,16 @@ def test_overflowing_coefficient_masks_split_points(tmp_path, capsys):
     assert doc["outputs"]["masked_points"] == len(masked) == 8
     assert {p["x"] for p in masked} == {1.0}
     assert all(p["reason"] for p in masked)
+    # the invariants overflow from x = 3/7 on: those points are masked with
+    # the names of the non-finite values, not written as NaN
     code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "bundle")
     assert code == 0
     masked = [p for p in doc["outputs"]["points"] if not p["regular"]]
-    assert doc["outputs"]["masked_points"] == len(masked) == 8
-    assert {p["x"] for p in masked} == {1.0}
+    assert doc["outputs"]["masked_points"] == len(masked) == 40
+    reasons = {(round(7 * p["x"]), p["reason"]) for p in masked}
+    assert reasons == {(3, "non-finite J0"), (4, "non-finite J0, J1_1, J1_2"),
+                       (5, "non-finite J0, J1_1, J1_2"), (6, "non-finite J0, J1_1, J1_2"),
+                       (7, "conformal frame failed: quadratic form is degenerate")}
 
 
 def test_overflowing_symbol_masks_points(tmp_path, capsys):
@@ -347,3 +357,99 @@ def test_equiv_aut_reports_closed_obstruction(tmp_path):
     assert obstruction["closed"] is True
     assert obstruction["points"] == doc["outputs"]["matched_points"] > 0
     assert obstruction["residual"] <= doc["configuration"]["closedness_tol"]
+
+
+GRID_COMMANDS = [
+    ("classify", ["classify"]),
+    ("symbol", ["invariants", "--mode", "symbol", "--check"]),
+    ("conformal", ["invariants", "--mode", "conformal"]),
+    ("operator", ["invariants", "--mode", "operator"]),
+    ("bundle", ["invariants", "--mode", "bundle"]),
+    ("chern", ["split", "--connection", "chern"]),
+    ("wagner", ["split", "--connection", "wagner"]),
+]
+
+
+def _one_point(name: str, op, x: float, y: float) -> dict:
+    """The values of a grid record at one point, from the library's
+    one-point calls (raising the error that masks the point)."""
+    from invar3.cli import _residual_checks
+    from invar3.invariants import (basic_invariants, conformal_invariants,
+                                   operator_invariants)
+    from invar3.quantize import _connection_for, quantize_sum, split
+    from invar3.symbol import Symbol3, classify, value_of
+    sym = Symbol3(*op.components[:4])
+    if name == "classify":
+        c = classify(sym.at(x, y, 0))
+        return {"kind": c.kind.value, "delta": c.delta}
+    if name == "symbol":
+        iv = basic_invariants(sym, x, y)
+        return {**{f"I{k + 1}": v for k, v in enumerate(iv.values())},
+                "checks": _residual_checks(sym, x, y)}
+    if name == "conformal":
+        iv = conformal_invariants(sym, x, y)
+        return {**{f"I{k + 1}": v for k, v in enumerate(iv.values())}, "pivot": iv.pivot,
+                **{f"ratio{k + 1}": r for k, r in enumerate(iv.ratios)}}
+    if name in ("operator", "bundle"):
+        mode = "bundle" if name == "bundle" else "scalar"
+        return operator_invariants(op, x, y, mode=mode).flat()
+    opp = op.at(x, y, 2)
+    gamma = _connection_for(opp.principal_symbol(), name)
+    ts = split(opp, name)
+    back = quantize_sum(ts, gamma)
+    return {"sigma3": [value_of(c) for c in ts.sigma3.components],
+            "sigma2": [value_of(c) for c in ts.sigma2],
+            "sigma1": [value_of(c) for c in ts.sigma1], "sigma0": value_of(ts.sigma0),
+            "roundtrip_residual": max(abs(value_of(getattr(opp, n)) - value_of(getattr(back, n)))
+                                      for n in COEFF_NAMES)}
+
+
+def random_spec(seed: int, n: int) -> dict:
+    """A spec of a fixture random operator on an n x n grid."""
+    from conftest import random_operator, rng_for
+    op = random_operator(rng_for(seed))
+    coefficients = {k: str(c) if not isinstance(c, float) else repr(c)
+                    for k, c in zip(COEFF_NAMES, op.components)}
+    return {"schema_version": 1, "coefficients": coefficients,
+            "domain": {"x": [0.0, 1.0], "y": [0.0, 1.0], "nx": n, "ny": n}}
+
+
+@pytest.mark.parametrize("payload", [
+    {**HYP, "domain": {"x": [0.0, 1.0], "y": [0.0, 1.0], "nx": 16, "ny": 16}},
+    random_spec(11, 8),
+], ids=["hyp-16x16", "random-8x8"])
+def test_grid_commands_make_one_pass_with_one_point_records(tmp_path, monkeypatch, payload):
+    from invar3 import cli, invariants
+    spec = write_spec(tmp_path, "spec.json", payload)
+    op = cli.load_spec(spec)["operator"]
+    ranks = []
+
+    def counted_pass(compute, xs, ys):
+        def counted(x, y):
+            ranks.append(isinstance(x, list))
+            return compute(x, y)
+        return invariants._per_point(counted, xs, ys)
+
+    monkeypatch.setattr(cli, "_per_point", counted_pass)
+    for name, argv in GRID_COMMANDS:
+        ranks.clear()
+        code, doc = run(tmp_path, argv[0], spec, *argv[1:])
+        assert code in (0, 2, 3)
+        points = doc["outputs"]["points"]
+        if name == "classify":
+            masked = doc["outputs"]["domain_errors"]
+            regular = points
+        else:
+            masked = [p for p in points if not p["regular"]]
+            regular = [p for p in points if p["regular"]]
+        # one batched pass, then only the masked points alone
+        assert ranks.count(True) == 1 and ranks.count(False) == len(masked)
+        for rec in regular:
+            values = rec if name == "classify" else rec["values"]
+            want = _one_point(name, op, rec["x"], rec["y"])
+            got = {k: values[k] for k in want}
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        for rec in masked:
+            with pytest.raises(Exception) as err:
+                _one_point(name, op, rec["x"], rec["y"])
+            assert str(err.value) == rec["error" if name == "classify" else "reason"]
