@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -27,7 +28,7 @@ from .connection import AffineConnection, OneForm, exterior_derivative
 from .errors import (POINT_ERRORS, GeneralPositionError, InverseMismatchError,
                      NonPositiveScaleError, RegularityError, ZeroCrossingError,
                      masked, raise_where)
-from .expr import Expr, coefficient_field
+from .expr import BatchField, Expr, coefficient_field, field_at
 from .invariants import (conformal_frame_data, decompose_cubic,
                          symbol_coframe_point)
 from .jets import Jet2, as_jet, compose, real_power
@@ -168,16 +169,18 @@ class Verdict:
 # -- per-point memo -------------------------------------------------------------------
 
 class _PointMemo:
-    """Bounded memo of per-point jet data, keyed by the point (x, y).
+    """Bounded memo of per-point jet data, keyed by the point (x, y), or by
+    the coordinates of a batch of points.
 
-    Each point keeps the result of the highest order computed there, and a
+    Each key keeps the result of the highest order computed there, and a
     request at a lower order is served from it: the caller truncates the
     jets it uses.  Truncated Taylor arithmetic makes the low coefficients of
     a higher-order result bit-identical to a lower-order computation, and a
     higher-order computation fails wherever the lower-order one does (its
     regularity thresholds scale with norms over more coefficients), so a
-    hit never changes a result.  The memo holds at most ``limit`` points
-    and empties itself when full.
+    hit never changes a result.  A batch is one key: another batch, or one
+    of its points, misses.  The memo holds at most ``limit`` keys and
+    empties itself when full.
     """
 
     __slots__ = ("_compute", "_store", "_limit")
@@ -187,16 +190,20 @@ class _PointMemo:
         self._store: dict = {}
         self._limit = limit
 
-    def __call__(self, x: float, y: float, order: int):
-        value = self.peek(x, y, order)
-        if value is None:
-            value = self._compute(x, y, order)
-            self.put(x, y, order, value)
+    def __call__(self, x, y, order: int):
+        key = _memo_key(x, y)
+        hit = self._store.get(key)
+        if hit is not None and hit[0] >= order:
+            return hit[1]
+        value = self._compute(x, y, order)
+        if len(self._store) >= self._limit:
+            self._store.clear()
+        self._store[key] = (order, value)
         return value
 
-    def peek(self, x: float, y: float, order: int):
+    def peek(self, x, y, order: int):
         """The stored result if it has at least ``order``, else None."""
-        hit = self._store.get((x, y))
+        hit = self._store.get(_memo_key(x, y))
         return hit[1] if hit is not None and hit[0] >= order else None
 
     def put(self, x: float, y: float, order: int, value) -> None:
@@ -205,8 +212,14 @@ class _PointMemo:
         self._store[(x, y)] = (order, value)
 
 
+def _memo_key(x, y) -> tuple:
+    """The point, or a batch's coordinates as tuples."""
+    return (x, y) if isinstance(x, (int, float, np.number)) else (tuple(x), tuple(y))
+
+
 def _memoized_field(component):
-    """A coefficient field that reads expressions through a point memo.
+    """A coefficient field that reads expressions through a memo of points
+    and batches.
 
     Expression jets are exact truncated Taylor arithmetic, so a lower order
     is a truncation of a higher one.  Numbers and callables (which keep
@@ -215,7 +228,7 @@ def _memoized_field(component):
     if not isinstance(component, (str, Expr)):
         return component
     memo = _PointMemo(coefficient_field(component))
-    return lambda x, y, order: as_jet(memo(x, y, order), order)
+    return BatchField(lambda x, y, order: as_jet(memo(x, y, order), order))
 
 
 # -- group actions -------------------------------------------------------------------
@@ -223,19 +236,24 @@ def _memoized_field(component):
 def _check_mutual_inverse(phi, phi_inv, window: DomainGrid, tol: float = 1e-10):
     fwd = [coefficient_field(c) for c in phi]
     bwd = [coefficient_field(c) for c in phi_inv]
-    xs = np.linspace(window.x0, window.x1, 5)
-    ys = np.linspace(window.y0, window.y1, 5)
+    pts = [(x, y) for x in np.linspace(window.x0, window.x1, 5)
+           for y in np.linspace(window.y0, window.y1, 5)]
     scale = max(abs(window.x0), abs(window.x1), abs(window.y0), abs(window.y1), 1.0)
-    for x in xs:
-        for y in ys:
-            px = bwd[0](x, y, 0).value
-            py = bwd[1](x, y, 0).value
-            rx = fwd[0](px, py, 0).value - x
-            ry = fwd[1](px, py, 0).value - y
-            if max(abs(rx), abs(ry)) > tol * scale:
-                raise InverseMismatchError(
-                    f"maps are not mutually inverse at ({x:.3g}, {y:.3g}): "
-                    f"residual {max(abs(rx), abs(ry)):.3g}")
+
+    def residuals(x, y):
+        px = field_at(bwd[0], x, y, 0).value
+        py = field_at(bwd[1], x, y, 0).value
+        return field_at(fwd[0], px, py, 0).value - x, field_at(fwd[1], px, py, 0).value - y
+
+    # one batch for all samples; a sample that is not finite there is
+    # evaluated alone, in order, so it raises what it raises alone
+    for (x, y), rx, ry in zip(pts, *residuals(*np.array(pts).T)):
+        if not (math.isfinite(rx) and math.isfinite(ry)):
+            rx, ry = residuals(x, y)
+        if max(abs(rx), abs(ry)) > tol * scale:
+            raise InverseMismatchError(
+                f"maps are not mutually inverse at ({x:.3g}, {y:.3g}): "
+                f"residual {max(abs(rx), abs(ry)):.3g}")
 
 
 def _chain_rule_trackers(phi_jets: tuple[Jet2, Jet2], depth: int) -> dict:
@@ -297,17 +315,17 @@ def pushforward_operator(op: Operator3, phi, phi_inv,
     op_fields = {name: coefficient_field(_memoized_field(c))
                  for name, c in zip(RAW_SLOTS, op.components)}
 
-    def raw_at(x: float, y: float, order: int, principal: bool) -> dict:
-        inv1 = bwd[0](x, y, order)
-        inv2 = bwd[1](x, y, order)
+    def raw_at(x, y, order: int, principal: bool) -> dict:
+        inv1 = field_at(bwd[0], x, y, order)
+        inv2 = field_at(bwd[1], x, y, order)
         px, py = inv1.value, inv2.value
         # chain-rule coefficients lose three orders through the depth-3
         # trackers; the operator coefficients are never differentiated
-        phi_jets = (fwd[0](px, py, order + 3), fwd[1](px, py, order + 3))
+        phi_jets = (field_at(fwd[0], px, py, order + 3), field_at(fwd[1], px, py, order + 3))
         trackers = _chain_rule_trackers(phi_jets, 3)
         # third-order raw coefficients come from third-order slots only
         names = _PRINCIPAL_SLOTS if principal else RAW_SLOTS
-        coeff_jets = {name: op_fields[name](px, py, order) for name in names}
+        coeff_jets = {name: field_at(op_fields[name], px, py, order) for name in names}
         raw_p: dict = {}
         for name in names:
             alpha, weight = RAW_SLOTS[name]
@@ -321,12 +339,22 @@ def pushforward_operator(op: Operator3, phi, phi_inv,
         for beta, v in raw_p.items():
             j = v if isinstance(v, Jet2) else Jet2.constant(v, order)
             raw_y[beta] = compose(j.truncated(min(j.order, order)), inv1, inv2)
+        if inv1.batched:
+            return _nan_where_failed(raw_y, (inv1, inv2, *phi_jets, *coeff_jets.values()))
         return raw_y
 
     return _raw_slot_operator(raw_at)
 
 
 _PRINCIPAL_SLOTS = ("a1", "a2", "a3", "a4")
+
+
+def _nan_where_failed(raw: dict, inputs) -> dict:
+    """Batched raw coefficients, NaN on every row where one of the input
+    jets is not finite: a point raises as a whole where one of its fields
+    raises, and a field's batch is NaN just there."""
+    bad = reduce(np.logical_or, [~np.isfinite(j.c).all(axis=-1) for j in inputs])
+    return {beta: raise_where(bad, None, v) for beta, v in raw.items()}
 
 
 def _raw_slot_operator(raw_at: Callable) -> Operator3:
@@ -336,8 +364,9 @@ def _raw_slot_operator(raw_at: Callable) -> Operator3:
     ``raw_at(x, y, order, principal)`` gives the raw coefficients of all ten
     slots, or with ``principal`` only those of the principal symbol, which
     is all that the symbol pipelines (stage one, every Newton iterate) ask
-    for.  A principal slot is read from the full memo when that already
-    holds the point at a high enough order.
+    for; at coordinate sequences it gives them batched.  A principal slot is
+    read from the full memo when that already holds the point (or the
+    batch) at a high enough order.
     """
     full = _PointMemo(lambda x, y, order: raw_at(x, y, order, False))
     top = _PointMemo(lambda x, y, order: raw_at(x, y, order, True))
@@ -354,7 +383,7 @@ def _raw_slot_operator(raw_at: Callable) -> Operator3:
 
         def lower(x, y, order):
             return as_jet(full(x, y, order)[alpha], order) * scale
-        return principal if name in _PRINCIPAL_SLOTS else lower
+        return BatchField(principal if name in _PRINCIPAL_SLOTS else lower)
 
     return Operator3(**{name: component(name) for name in RAW_SLOTS})
 
@@ -377,8 +406,11 @@ def gauge_transform(op: Operator3, h, window: DomainGrid | None = None,
     hf = coefficient_field(_memoized_field(h))
     if window is not None:
         signs = set()
-        for (x, y) in DomainGrid(window.x0, window.x1, window.y0, window.y1, 8, 8).points():
-            v = hf(x, y, 0).value
+        pts = DomainGrid(window.x0, window.x1, window.y0, window.y1, 8, 8).points()
+        batch = field_at(hf, [p[0] for p in pts], [p[1] for p in pts], 0).value.tolist()
+        for (x, y), v in zip(pts, batch):
+            if not math.isfinite(v):
+                v = field_at(hf, x, y, 0).value  # raises what the point raises alone
             if abs(v) < floor:
                 raise ZeroCrossingError(f"multiplier vanishes near ({x:.3g}, {y:.3g})")
             signs.add(v > 0)
@@ -386,10 +418,11 @@ def gauge_transform(op: Operator3, h, window: DomainGrid | None = None,
             raise ZeroCrossingError("multiplier changes sign on the window")
     op_fields = {name: coefficient_field(c) for name, c in zip(RAW_SLOTS, op.components)}
 
-    def raw_at(x: float, y: float, order: int, principal: bool) -> dict:
-        hj = hf(x, y, order + 3)
-        if hj.value == 0.0 or abs(hj.value) < floor:
-            raise ZeroCrossingError(f"multiplier vanishes at ({x:.3g}, {y:.3g})")
+    def raw_at(x, y, order: int, principal: bool) -> dict:
+        hj = field_at(hf, x, y, order + 3)
+        v = hj.value
+        hj = raise_where((v == 0.0) | (abs(v) < floor), lambda: ZeroCrossingError(
+            f"multiplier vanishes at ({x:.3g}, {y:.3g})"), hj)
         hinv = 1.0 / hj
         # raw partial jets of 1/h up to total order 3
         dparts = {(0, 0): hinv}
@@ -398,11 +431,13 @@ def gauge_transform(op: Operator3, h, window: DomainGrid | None = None,
                 i = t - j
                 src = dparts[(i - 1, j)] if i > 0 else dparts[(i, j - 1)]
                 dparts[(i, j)] = src.dx() if i > 0 else src.dy()
+        names = _PRINCIPAL_SLOTS if principal else RAW_SLOTS
+        coeff_jets = {name: field_at(op_fields[name], x, y, order) for name in names}
         out: dict = {}
         # a third-order slot gets only its own coefficient times h / h
-        for name in (_PRINCIPAL_SLOTS if principal else RAW_SLOTS):
+        for name in names:
             alpha, weight = RAW_SLOTS[name]
-            ha_jet = hj * (op_fields[name](x, y, order) * weight)
+            ha_jet = hj * (coeff_jets[name] * weight)
             a1, a2 = alpha
             for b1 in range(a1 + 1):
                 for b2 in range(a2 + 1):
@@ -412,6 +447,8 @@ def gauge_transform(op: Operator3, h, window: DomainGrid | None = None,
                     term = ha_jet * dparts[(a1 - b1, a2 - b2)] * cmb
                     slot = (b1, b2)
                     out[slot] = out.get(slot, 0.0) + term
+        if hj.batched:
+            return _nan_where_failed(out, (hj, *coeff_jets.values()))
         return out
 
     return _raw_slot_operator(raw_at)
@@ -419,14 +456,11 @@ def gauge_transform(op: Operator3, h, window: DomainGrid | None = None,
 
 def scale_operator(op: Operator3, factor) -> Operator3:
     """Multiply all ten coefficients by a number or a scalar field."""
-    if isinstance(factor, (int, float)):
-        ff = lambda x, y, order: Jet2.constant(float(factor), order)
-    else:
-        ff = coefficient_field(factor)
+    ff = coefficient_field(factor)
 
     def component(c):
         cf = coefficient_field(c)
-        return lambda x, y, order: cf(x, y, order) * ff(x, y, order)
+        return BatchField(lambda x, y, order: field_at(cf, x, y, order) * field_at(ff, x, y, order))
 
     return op.map(component)
 
@@ -495,24 +529,22 @@ def normalize(op_field: Operator3) -> Operator3:
     sym_field = Symbol3(*op_field.components[:4])
     op_fields = [coefficient_field(c) for c in op_field.components]
 
-    def factor_at(x: float, y: float, order: int) -> Jet2:
+    def factor_at(x, y, order: int) -> Jet2:
         data = conformal_frame_data(sym_field, x, y, extra_order=max(order - 1, 0))
         g = scaled_hessian(data.symbol.map(lambda c: c.truncated(order + 1)), -1.0 / 3.0)
         lam = g.pair(data.theta.components, data.theta.components)
         lam_value = value_of(lam)
-        if lam_value <= 0.0:
-            raise NonPositiveScaleError(
-                f"normalization multiplier {lam_value:.3g} is not positive at "
-                f"({x:.3g}, {y:.3g})")
+        lam = raise_where(lam_value <= 0.0, lambda: NonPositiveScaleError(
+            f"normalization multiplier {lam_value:.3g} is not positive at "
+            f"({x:.3g}, {y:.3g})"), lam)
         lam_jet = lam if isinstance(lam, Jet2) else Jet2.constant(lam, order)
         return real_power(lam_jet.truncated(min(lam_jet.order, order)), -1.5)
 
     factor = _PointMemo(factor_at)
 
     def component(idx: int):
-        def f(x, y, order):
-            return op_fields[idx](x, y, order) * as_jet(factor(x, y, order), order)
-        return f
+        return BatchField(lambda x, y, order: field_at(op_fields[idx], x, y, order)
+                          * as_jet(factor(x, y, order), order))
 
     return Operator3(*(component(i) for i in range(10)))
 
@@ -549,21 +581,32 @@ class _StageOne(NamedTuple):
     points: np.ndarray        # (N, 2)
     values: np.ndarray        # (N, 4), nan where the point is not regular
     grads: np.ndarray         # (N, 4, 2), nan where the point is not regular
-    seeds: list               # per point (candidate jets, frame), or None
+    seeds: list               # per point (candidate jets, frame duals), or None
 
 
+@np.errstate(all="ignore")
 def _stage_one(op_field: Operator3, grid: DomainGrid, order: int = 1) -> _StageOne:
     """Candidate invariant values and gradients at every grid point.
 
-    The candidates are computed once per point, at the jet order the model
-    will read (``order``).  A point is regular when they can be computed
-    there and their values and gradients are finite.  Model assembly reads
-    its chart data from the arrays, and seeds its chart memo from the jets.
+    The candidates are computed in one batched pass over the grid, at the
+    jet order the model will read (``order``).  A point is regular when
+    they can be computed there and their values and gradients are finite.
+    Model assembly reads its chart data from the arrays, and seeds its
+    chart memo from the rows of the jets.
     """
     sym_field = Symbol3(*op_field.components[:4])
     pts = grid.points()
-    seeds = masked(lambda x, y: _candidate_invariants(sym_field, x, y, order, with_frame=True),
-                   pts)
+
+    def candidates(x, y):
+        cands, frame = _candidate_invariants(sym_field, x, y, order, with_frame=True)
+        return cands, _duals(frame)
+
+    try:
+        cands, duals = candidates([p[0] for p in pts], [p[1] for p in pts])
+        seeds = [(tuple(c.row(k) for c in cands), tuple(d))
+                 for k, d in enumerate(np.column_stack(duals).tolist())]
+    except POINT_ERRORS:  # a batch that fails as a whole: each point alone
+        seeds = masked(candidates, pts)
     values = np.full((len(pts), 4), np.nan)
     grads = np.full((len(pts), 4, 2), np.nan)
     for k, seed in enumerate(seeds):
@@ -625,15 +668,14 @@ def build_natural_model(op_field: Operator3, grid: DomainGrid, mode: str = "scal
     return _assemble_model(op_field, grid, mode, selection, cfg, stage)
 
 
-def _chart_point(ci, cj, frame) -> tuple:
-    """What a chart keeps of a point: the selected candidate pair as jets
-    and the values of the torsion frame's dual vectors."""
-    return (ci, cj, tuple(value_of(v) for v in frame.d1 + frame.d2))
+def _duals(frame) -> tuple:
+    """Values of the torsion frame's dual vectors."""
+    return tuple(value_of(v) for v in frame.d1 + frame.d2)
 
 
 def _chart_data(point: tuple) -> tuple:
     """Values and Jacobian of the selected candidate pair, and the branch
-    signature, from a :func:`_chart_point` record."""
+    signature, from a chart point (see :func:`_chart_memo`)."""
     ci, cj, (d11, d12, d21, d22) = point
     vals = (ci.value, cj.value)
     J = ((ci.partial(1, 0), ci.partial(0, 1)),
@@ -648,8 +690,9 @@ def _chart_data(point: tuple) -> tuple:
 
 
 def _chart_memo(op_field: Operator3, selection: tuple[int, int]) -> _PointMemo:
-    """Chart points (:func:`_chart_point`) at grid points, Newton iterates
-    and matched points: order 1 for the chart map, order 3 for the scalar
+    """Chart points at grid points, Newton iterates and matched points: the
+    selected candidate pair as jets and the values of the torsion frame's
+    dual vectors, at order 1 for the chart map and order 3 for the scalar
     fields.  They depend on the principal symbol alone, so operators that
     share their symbol fields can share the memo."""
     sym_field = Symbol3(*op_field.components[:4])
@@ -657,7 +700,7 @@ def _chart_memo(op_field: Operator3, selection: tuple[int, int]) -> _PointMemo:
     def compute(x: float, y: float, order: int):
         (ci, cj), frame = _candidate_invariants(sym_field, x, y, order, with_frame=True,
                                                 which=selection)
-        return _chart_point(ci, cj, frame)
+        return ci, cj, _duals(frame)
 
     return _PointMemo(compute, limit=8192)
 
@@ -671,8 +714,8 @@ def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
     # the grid points are seeded from the stage-one jets
     for (x, y), seed in zip(pts, stage.seeds):
         if seed is not None:
-            cands, frame = seed
-            charts.put(x, y, cands[0].order, _chart_point(cands[i_sel], cands[j_sel], frame))
+            cands, duals = seed
+            charts.put(x, y, cands[0].order, (cands[i_sel], cands[j_sel], duals))
 
     def coords_jac(x: float, y: float):
         vals, J, _ = _chart_data(charts(x, y, 1))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -472,20 +473,40 @@ def diff(e: Expr, name: str) -> Expr:
 
 # -- coefficient fields -----------------------------------------------------------
 
+class BatchField(partial):
+    """Marks a coefficient field that takes either rank: at equal-length
+    coordinate sequences, ``f(x, y, order)`` gives one batched jet whose
+    rows are the points' jets, NaN where the point alone raises.
+    :func:`field_at` calls any other callable point by point.  A
+    :class:`functools.partial` (``BatchField(fn, *args)``), so the marker
+    adds no Python frame to a call."""
+
+    __slots__ = ()
+
+
+def _expr_field(e: Expr, x, y, order: int) -> Jet2:
+    return eval_jet(e, (x, y), order)
+
+
+def _constant_field(v: float, x, y, order: int) -> Jet2:
+    if isinstance(x, (int, float, np.number)):
+        return Jet2.constant(v, order)
+    return eval_jet(Const(v), (x, y), order)
+
+
 def coefficient_field(component):
     """Normalize a coefficient component to a callable (x, y, order) -> Jet2.
 
     Accepts an :class:`Expr`, a string (parsed once), a plain number
-    (constant field) or an already-callable field.
+    (constant field) or an already-callable field, which is returned as it
+    is.  The others become a :class:`BatchField`.
     """
     if isinstance(component, str):
         component = parse(component)
     if isinstance(component, Expr):
-        e = component
-        return lambda x, y, order: eval_jet(e, (x, y), order)
+        return BatchField(_expr_field, component)
     if isinstance(component, (int, float)):
-        v = float(component)
-        return lambda x, y, order: Jet2.constant(v, order)
+        return BatchField(_constant_field, float(component))
     if callable(component):
         return component
     raise TypeError(f"cannot interpret {type(component).__name__} as a coefficient field")
@@ -496,15 +517,11 @@ def field_at(component, x, y, order: int) -> Jet2:
 
     ``x`` and ``y`` may also be equal-length sequences: the result is then
     one batched jet, with NaN rows where evaluation fails (computed alone,
-    such a point raises the error).  Expressions, strings and numbers are
-    evaluated once for the whole batch (see :func:`eval_jet`); a callable
-    field is called point by point.
+    such a point raises the error).  Expressions, strings, numbers and
+    :class:`BatchField` callables are evaluated once for the whole batch
+    (see :func:`eval_jet`); any other callable is called point by point.
     """
-    if isinstance(x, (int, float, np.number)):
-        return coefficient_field(component)(x, y, order)
-    if isinstance(component, str):
-        component = parse(component)
-    if isinstance(component, (Expr, int, float)):
-        return eval_jet(_lift(component), (x, y), order)
     f = coefficient_field(component)
+    if isinstance(f, BatchField) or isinstance(x, (int, float, np.number)):
+        return f(x, y, order)
     return _stacked(masked(lambda xk, yk: f(xk, yk, order), zip(x, y)), order)

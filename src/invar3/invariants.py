@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import reduce
 from typing import Any, Callable
 
 import numpy as np
@@ -425,10 +426,11 @@ def _per_point(compute: Callable, xs, ys) -> list:
     """
     xs, ys = list(xs), list(ys)
     try:
-        out = _rows(compute(xs, ys), len(xs))
+        batch = compute(xs, ys)
+        alone = np.flatnonzero(_non_finite_rows(batch, len(xs))).tolist()
+        out = _rows(batch, len(xs))
     except POINT_ERRORS:
-        out = [None] * len(xs)
-    alone = [k for k, res in enumerate(out) if res is None or _non_finite(res)]
+        alone, out = list(range(len(xs))), [None] * len(xs)
     for k, res in zip(alone, masked(compute, [(xs[k], ys[k]) for k in alone])):
         bad = [] if isinstance(res, Exception) else _non_finite(res)
         out[k] = DomainEvalError(f"non-finite {', '.join(bad)}") if bad else res
@@ -450,6 +452,26 @@ def _rows(batch, n: int) -> list:
     if hasattr(batch, "row"):  # a batched jet
         return [batch.row(i) for i in range(n)]
     return [batch] * n
+
+
+def _non_finite_rows(batch, n: int) -> np.ndarray:
+    """Where :func:`_non_finite` finds a value in the rows that
+    :func:`_rows` splits the batch result into: one ``np.isfinite`` per
+    float array."""
+    if callable(getattr(batch, "flat", None)):
+        batch = batch.flat()
+    if isinstance(batch, dict):
+        batch = list(batch.values())
+    if isinstance(batch, (list, tuple)):
+        return reduce(np.logical_or, [_non_finite_rows(v, n) for v in batch], np.zeros(n, bool))
+    if isinstance(batch, np.ndarray):  # labels (an object array) are never flagged
+        return (~np.isfinite(batch.reshape(n, -1)).all(axis=1) if batch.dtype.kind == "f"
+                else np.zeros(n, bool))
+    if isinstance(batch, float):
+        return np.full(n, not math.isfinite(batch))
+    if hasattr(batch, "row") and not isinstance(batch, Jet2):  # an opaque batch
+        return np.array([bool(_non_finite(batch.row(i))) for i in range(n)], dtype=bool)
+    return np.zeros(n, bool)
 
 
 def _non_finite(result, name: str = "") -> list:

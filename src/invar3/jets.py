@@ -584,30 +584,30 @@ def compose(f: Jet2, phi1: Jet2, phi2: Jet2) -> Jet2:
         raise OrderMismatchError(
             f"outer jet of order {k} needs inner jets of order >= {k}, "
             f"got {phi1.order} and {phi2.order}")
-    if f.c.ndim + phi1.c.ndim + phi2.c.ndim > 3:
-        # a batch (in any of the three jets) is composed row by row
-        rows = max(len(j.c) for j in (f, phi1, phi2) if j.batched)
-        return stack([compose(*(j.row(r) if j.batched else j for j in (f, phi1, phi2)))
-                      for r in range(rows)])
+    # on a batch (in any of the three jets) every row runs the same Horner
+    # steps as alone
+    rows = max((j.c.shape[:-1] for j in (f, phi1, phi2)), key=len)
+    product = _batch_product if rows else _product
     n = ncoef(k)
     table = _table(k, k)
-    u = phi1.c[:n].copy()
-    u[0] = 0.0
-    v = phi2.c[:n].copy()
-    v[0] = 0.0
+    u = _prefix(phi1.c, n).copy()
+    u[..., 0] = 0.0
+    v = _prefix(phi2.c, n).copy()
+    v[..., 0] = 0.0
     # Horner over x-powers of rows that are Horner over y-powers.
-    acc = _compose_row(f.c, k, k, v, table)
+    acc = _compose_row(f.c, k, k, v, table, product, rows)
     for i in range(k - 1, -1, -1):
-        acc = _product(acc, u, table) + _compose_row(f.c, i, k, v, table)
+        acc = product(acc, u, table) + _compose_row(f.c, i, k, v, table, product, rows)
     return _make(k, acc)
 
 
-def _compose_row(c: np.ndarray, i: int, k: int, v: np.ndarray, table: tuple) -> np.ndarray:
+def _compose_row(c: np.ndarray, i: int, k: int, v: np.ndarray, table: tuple,
+                 product, rows: tuple) -> np.ndarray:
     """Horner evaluation of sum_j c_{ij} v^j, as order-k coefficients."""
     jmax = k - i
-    acc = np.zeros(table[1])
-    acc[0] = c[pack_index(i, jmax)]
+    acc = np.zeros(rows + (table[1],))
+    acc[..., 0] = c[..., pack_index(i, jmax)]
     for j in range(jmax - 1, -1, -1):
-        acc = _product(acc, v, table)
-        acc[0] += c[pack_index(i, j)]
+        acc = product(acc, v, table)
+        acc[..., 0] += c[..., pack_index(i, j)]
     return acc

@@ -1,4 +1,4 @@
-"""Batched jets and the grid-batched invariant pipeline against per-point runs.
+"""Batched jets, fields and the grid-batched pipelines against per-point runs.
 
 A batched jet holds one row of coefficients per point, and every batched
 operation must reproduce, row by row, the same operation on the row alone.
@@ -14,19 +14,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_one_root_symbol, random_operator,
-                      random_three_root_symbol, rng_for, small_poly)
-from invar3 import expr, jets
-from invar3.equivalence import (DomainGrid, EquivConfig, build_natural_model,
-                                line_bundle_connection)
-from invar3.errors import (POINT_ERRORS, DomainEvalError, RegularityError,
-                           SingularSymbolError)
+from conftest import (image_box, random_diffeo, random_gauge, random_one_root_symbol,
+                      random_operator, random_three_root_symbol, rng_for, small_poly)
+from invar3 import equivalence, expr, jets
+from invar3.equivalence import (DomainGrid, EquivConfig, _candidate_invariants, _PointMemo,
+                                _stage_one, build_natural_model, gauge_transform,
+                                line_bundle_connection, normalize, pushforward_operator,
+                                scale_operator)
+from invar3.errors import (POINT_ERRORS, DomainEvalError, InverseMismatchError,
+                           RegularityError, SingularSymbolError, ZeroCrossingError)
 from invar3.expr import eval_jet, field_at, parse
 from invar3.invariants import OperatorInvariants, operator_invariants
 from invar3.jets import Jet2, compose, ncoef
 from invar3.linalg import solve_jet_system
-from invar3.quantize import Operator3
-from invar3.symbol import value_of
+from invar3.quantize import RAW_SLOTS, Operator3
+from invar3.symbol import Symbol3, value_of
 
 ROWS = 5
 
@@ -87,15 +89,13 @@ def test_series_functions_act_row_by_row(u):
 
 
 @given(st.integers(0, 4).flatmap(
-    lambda k: st.tuples(batches(k), batches(k), batches(k))))
-def test_compose_acts_row_by_row(triple):
-    f, p1, p2 = triple
-    got = compose(f, p1, p2)
-    assert same_rows(got, [compose(a, b, c) for a, b, c in zip(*map(rows_of, triple))])
-    # a single outer jet composed with a batch of inner jets
-    f0 = rows_of(f)[0]
-    assert same_rows(compose(f0, p1, p2),
-                     [compose(f0, b, c) for b, c in zip(rows_of(p1), rows_of(p2))])
+    lambda k: st.tuples(batches(k), batches(k), batches(k))), st.integers(1, 7))
+def test_compose_acts_row_by_row(triple, which):
+    # which: a bit mask of the jets that hold the batch; the others are one
+    # point (a single outer jet composed with a batch of inner jets, say)
+    jets_in = [j if which >> i & 1 else rows_of(j)[0] for i, j in enumerate(triple)]
+    rows = [rows_of(j) if which >> i & 1 else [j] * ROWS for i, j in enumerate(jets_in)]
+    assert same_rows(compose(*jets_in), [compose(*r) for r in zip(*rows)])
 
 
 def test_pointwise_checks_turn_failing_rows_nan():
@@ -471,3 +471,331 @@ def test_per_point_falls_back_to_single_points_on_an_unnamed_failure():
     out = _per_point(compute, [0.0, 1.0, 2.0, 3.0], [0.0] * 4)
     assert out[0].value == 0.0 and out[3].value == 3.0
     assert out[1] is errors[1.0] and out[2] is errors[2.0]
+
+
+# -- callable fields on batches ------------------------------------------------------
+
+def assert_field_rows_are_points(build, names, pts, order):
+    """Each slot in ``names`` of a fresh ``build()``, evaluated on the batch
+    in that order: every row is the one-point jet of another fresh build
+    (slots in the same order at each point), or NaN where that point
+    raises; alone, such a point raises the same error on the batched build."""
+    batched, single = build(), build()
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    with np.errstate(all="ignore"):
+        rows = {n: field_at(getattr(batched, n), xs, ys, order) for n in names}
+    failed = 0
+    for k, p in enumerate(pts):
+        for n in names:
+            assert rows[n].order == order and rows[n].c.shape == (len(pts), ncoef(order))
+            try:
+                want = getattr(single, n)(*p, order)
+            except POINT_ERRORS as err:
+                failed += 1
+                assert np.isnan(rows[n].c[k]).all()
+                with pytest.raises(type(err)) as again:
+                    getattr(batched, n)(*p, order)
+                assert str(again.value) == str(err)
+                continue
+            assert np.array_equal(rows[n].c[k], want.c)
+    return failed
+
+
+# the principal-only path reads the symbol slots alone; the full path reads a
+# lower slot first, so that the symbol slots come from the full memo
+SLOT_PATHS = {"principal": ["a1", "a2", "a3", "a4"], "full": list(reversed(RAW_SLOTS))}
+unit_points = st.lists(st.tuples(st.floats(-0.25, 1.0), st.floats(-0.25, 1.0)),
+                       min_size=1, max_size=5)
+
+
+def _with_ln(op: Operator3) -> Operator3:
+    """The operator with a symbol and a lower slot that leave the domain
+    of ln where x <= -0.2."""
+    comps = list(op.components)
+    comps[1] = comps[1] + 0.01 * expr.ln(expr.var("x") + 0.2)
+    comps[5] = comps[5] + 0.1 * expr.ln(expr.var("x") + 0.2)
+    return Operator3(*comps)
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10 ** 6), st.integers(0, 4), st.sampled_from(sorted(SLOT_PATHS)),
+       unit_points)
+def test_batched_pushforward_fields_match_each_point(seed, order, path, pts):
+    rng = rng_for(seed)
+    op = _with_ln(random_operator(rng, random_one_root_symbol(rng) if seed % 2 else None))
+    phi, phi_inv = random_diffeo(rng)
+    failed = assert_field_rows_are_points(
+        lambda: pushforward_operator(op, phi, phi_inv), SLOT_PATHS[path],
+        pts + [(-0.5, 0.5)], order)
+    assert failed  # the last point leaves the domain of ln
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10 ** 6), st.integers(0, 4), st.sampled_from(sorted(SLOT_PATHS)),
+       st.booleans(), unit_points)
+def test_batched_gauge_fields_match_each_point(seed, order, path, pushed, pts):
+    rng = rng_for(seed)
+    op = _with_ln(random_operator(rng))
+    phi, phi_inv = random_diffeo(rng)
+    # a multiplier that vanishes on x = 0.25
+    h = random_gauge(rng) * (expr.var("x") - 0.25)
+
+    def build():
+        return gauge_transform(pushforward_operator(op, phi, phi_inv) if pushed else op, h)
+
+    failed = assert_field_rows_are_points(build, SLOT_PATHS[path],
+                                          pts + [(0.25, 0.5), (-0.5, 0.5)], order)
+    assert failed
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10 ** 6), st.integers(0, 4), st.sampled_from(sorted(SLOT_PATHS)),
+       st.lists(st.sampled_from(range(64)), min_size=1, max_size=5))
+def test_batched_normalize_fields_match_each_point(seed, order, path, picks):
+    rng = rng_for(seed)
+    op = random_operator(rng, random_one_root_symbol(rng) if seed % 2 else None)
+    # the mixed operator fails at these grid points: ln, a singular symbol,
+    # a degenerate conformal frame, a multiplier that is not positive
+    mixed = Operator3(**{k: parse(v) for k, v in MIXED.items()})
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, 8, 8).points()
+    pts = [grid[k] for k in picks]
+    assert_field_rows_are_points(lambda: normalize(op), SLOT_PATHS[path], pts, order)
+    assert assert_field_rows_are_points(lambda: normalize(mixed), SLOT_PATHS[path],
+                                        pts + [(-0.5, -1.0), (-1.0, 0.5)], order)
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10 ** 6), st.integers(0, 4), st.sampled_from(sorted(SLOT_PATHS)),
+       st.sampled_from(["number", "field"]), unit_points)
+def test_batched_scale_fields_match_each_point(seed, order, path, kind, pts):
+    rng = rng_for(seed)
+    op = random_operator(rng)
+    phi, phi_inv = random_diffeo(rng)
+    factor = -1.5 if kind == "number" else expr.ln(expr.var("x") + 0.2)
+    failed = assert_field_rows_are_points(
+        lambda: scale_operator(pushforward_operator(op, phi, phi_inv), factor),
+        SLOT_PATHS[path], pts + [(-0.5, 0.5)], order)
+    assert bool(failed) == (kind == "field")  # ln fails at the last point
+
+
+def test_memo_keys_a_batch_by_its_coordinates():
+    e = parse("exp(x) * sin(y) + x / (1 + y^2)")
+    calls = []
+
+    def compute(x, y, order):
+        calls.append(order)
+        return eval_jet(e, (x, y), order)
+
+    memo = _PointMemo(compute)
+    xs, ys = [0.1, 0.2, 0.3], [0.4, 0.5, 0.6]
+    high = memo(xs, ys, 4)
+    # the same coordinates in other sequences hit, and a lower order is the
+    # truncation of the stored one
+    assert memo(np.array(xs), tuple(ys), 2) is high and calls == [4]
+    assert np.array_equal(jets.as_jet(high, 2).c, eval_jet(e, (xs, ys), 2).c)
+    # another batch, a point of the batch, and a higher order miss
+    memo(xs[:2], ys[:2], 2)
+    memo(xs[0], ys[0], 2)
+    memo(xs, ys, 5)
+    assert calls == [4, 2, 2, 5]
+    # the symbol slots of a batch serve the operator's at a lower order:
+    # one principal-only and one full evaluation
+    rng = rng_for(3)
+    op = random_operator(rng)
+    phi, phi_inv = random_diffeo(rng)
+    moved = pushforward_operator(op, phi, phi_inv)
+    counted = []
+    trackers = equivalence._chain_rule_trackers
+
+    def counting(phi_jets, depth):
+        counted.append(phi_jets[0].batched)
+        return trackers(phi_jets, depth)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivalence, "_chain_rule_trackers", counting)
+        sym = moved.principal_symbol().at(xs, ys, 4)
+        opp = moved.at(xs, ys, 3)
+    assert counted == [True, True]
+    for a, b in zip(sym.components, opp.components[:4]):
+        assert np.array_equal(a.truncated(3).c, b.c)
+
+
+def test_unmarked_callables_are_called_once_per_point():
+    xs, ys = [0.0, 0.5, 1.0], [1.0, 0.5, 0.0]
+    e = parse("x + y^2")
+    seen = []
+
+    def plain(x, y, order):
+        seen.append(x)
+        return eval_jet(e, (x, y), order)
+
+    marked = expr.BatchField(plain)
+    want = eval_jet(e, (xs, ys), 2)
+    # a marked field gets the whole batch in one call
+    assert np.array_equal(field_at(marked, xs, ys, 2).c, want.c) and seen == [xs]
+    seen.clear()
+    # an unmarked one (a user field, or a wrapper of a marked one) once per point
+    wrapper = lambda x, y, order: marked(x, y, order)  # noqa: E731
+    for f in (plain, wrapper):
+        seen.clear()
+        assert np.array_equal(field_at(f, xs, ys, 2).c, want.c) and seen == xs
+
+
+def _stage_one_alone(op_field, grid, order):
+    """Stage one point by point: the candidates at each grid point, and the
+    point regular when they are computed there with finite values and
+    gradients."""
+    sym_field = Symbol3(*op_field.components[:4])
+    pts = grid.points()
+    values = np.full((len(pts), 4), np.nan)
+    grads = np.full((len(pts), 4, 2), np.nan)
+    seeds = []
+    for k, (x, y) in enumerate(pts):
+        try:
+            cands, frame = _candidate_invariants(sym_field, x, y, order, with_frame=True)
+        except POINT_ERRORS:
+            seeds.append(None)
+            continue
+        values[k] = [c.value for c in cands]
+        grads[k] = [[c.partial(1, 0), c.partial(0, 1)] for c in cands]
+        seeds.append((cands, tuple(value_of(v) for v in frame.d1 + frame.d2)))
+    regular = np.isfinite(values).all(axis=1) & np.isfinite(grads).all(axis=(1, 2))
+    values[~regular] = grads[~regular] = np.nan
+    return values, grads, [s if ok else None for s, ok in zip(seeds, regular)]
+
+
+def _stage_one_operators(seed):
+    """A conftest operator, its pushed and gauged partner, and the mixed
+    operator (masked points), each with its grid."""
+    rng = rng_for(seed)
+    op = random_operator(rng, random_one_root_symbol(rng) if seed % 2 else None)
+    phi, phi_inv = random_diffeo(rng)
+    unit = DomainGrid(0.0, 1.0, 0.0, 1.0, 8, 8)
+    box = image_box(phi, unit)
+    moved = gauge_transform(pushforward_operator(op, phi, phi_inv, unit), random_gauge(rng), box)
+    mixed = Operator3(**{k: parse(v) for k, v in MIXED.items()})
+    return [(op, unit), (moved, box), (mixed, DomainGrid(-1.0, 1.0, -1.0, 1.0, 8, 8))]
+
+
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10 ** 6), st.sampled_from([1, 3]))
+def test_batched_stage_one_matches_each_point(seed, order):
+    for op, grid in _stage_one_operators(seed):
+        stage = _stage_one(op, grid, order)
+        values, grads, seeds = _stage_one_alone(op, grid, order)
+        assert np.array_equal(stage.points, grid.points())
+        assert np.array_equal(stage.values, values, equal_nan=True)
+        assert np.array_equal(stage.grads, grads, equal_nan=True)
+        assert len(stage.seeds) == len(seeds)
+        for got, want in zip(stage.seeds, seeds):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert all(a.order == b.order and np.array_equal(a.c, b.c)
+                           for a, b in zip(got[0], want[0], strict=True))
+                assert np.array_equal(got[1], want[1], equal_nan=True)
+
+
+def test_stage_one_makes_one_candidate_call_per_grid(monkeypatch):
+    calls = []
+    candidates = equivalence._candidate_invariants
+
+    def counted(sym_field, x, y, *args, **kwargs):
+        calls.append(isinstance(x, list))
+        return candidates(sym_field, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "_candidate_invariants", counted)
+    for op, grid in _stage_one_operators(5):
+        calls.clear()
+        stage = _stage_one(op, grid, 1)
+        assert calls == [True]
+    assert any(s is None for s in stage.seeds)  # the mixed grid has masked points
+
+
+def test_stage_one_takes_each_point_alone_when_the_batch_raises(monkeypatch):
+    candidates = equivalence._candidate_invariants
+
+    def overflowing(sym_field, x, y, *args, **kwargs):
+        if isinstance(x, list):  # as a math.* series coefficient can overflow
+            raise OverflowError("math range error")
+        return candidates(sym_field, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "_candidate_invariants", overflowing)
+    op, grid = _stage_one_operators(7)[2]
+    stage = _stage_one(op, grid, 1)
+    values, grads, seeds = _stage_one_alone(op, grid, 1)
+    assert np.array_equal(stage.values, values, equal_nan=True)
+    assert np.array_equal(stage.grads, grads, equal_nan=True)
+    assert [s is None for s in stage.seeds] == [s is None for s in seeds]
+
+
+def _check_inverse_alone(phi, phi_inv, window, tol=1e-10):
+    """The mutual-inverse check, one sample point at a time."""
+    fwd = [expr.coefficient_field(c) for c in phi]
+    bwd = [expr.coefficient_field(c) for c in phi_inv]
+    scale = max(abs(window.x0), abs(window.x1), abs(window.y0), abs(window.y1), 1.0)
+    for x in np.linspace(window.x0, window.x1, 5):
+        for y in np.linspace(window.y0, window.y1, 5):
+            px, py = bwd[0](x, y, 0).value, bwd[1](x, y, 0).value
+            rx, ry = fwd[0](px, py, 0).value - x, fwd[1](px, py, 0).value - y
+            if max(abs(rx), abs(ry)) > tol * scale:
+                raise InverseMismatchError(
+                    f"maps are not mutually inverse at ({x:.3g}, {y:.3g}): "
+                    f"residual {max(abs(rx), abs(ry)):.3g}")
+
+
+def _raised(call):
+    try:
+        call()
+    except POINT_ERRORS as err:
+        return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize("case, error", [
+    ("inverse", None), ("mismatch", "not mutually inverse"), ("ln", "log of"),
+    ("mismatch before ln", "not mutually inverse"), ("ln before mismatch", "log of")])
+def test_mutual_inverse_check_raises_at_the_first_failing_sample(case, error):
+    x, y = expr.var("x"), expr.var("y")
+    phi, phi_inv = random_diffeo(rng_for(11))
+    window = DomainGrid(-1.0, 1.0, -1.0, 1.0, 8, 8)
+    # the samples run over x = -1 first; ln(x + 0.5) fails there, ln(0.2 - x)
+    # only from x = 0.5 on
+    bend = {"inverse": 0.0, "mismatch": 0.01 * x * y, "ln": 0.0 * expr.ln(x + 0.5),
+            "mismatch before ln": 0.01 * y + 0.0 * expr.ln(0.2 - x),
+            "ln before mismatch": 0.01 * (x + 1) * y + 0.0 * expr.ln(x + 0.5)}[case]
+    phi_inv = (phi_inv[0] + bend, phi_inv[1])
+    want = _raised(lambda: _check_inverse_alone(phi, phi_inv, window))
+    assert (want is None) == (error is None) and (error is None or error in want[1])
+    assert _raised(lambda: pushforward_operator(Operator3(*[1.0] * 10), phi, phi_inv,
+                                                window)) == want
+
+
+@pytest.mark.parametrize("h, want", [
+    ("exp(0.2*x*y)", None),
+    ("x - 0.142857142857", "multiplier vanishes near (0.143"),
+    ("x + 0.5", "multiplier changes sign"),
+    ("0.0*ln(x - 0.5) + 1", "log of non-positive value"),
+    # the samples run over x = -1 first
+    ("x + 1 + 0.0*ln(0.2 - x)", "multiplier vanishes near (-1"),
+    ("x - 0.142857142857 + 0.0*ln(x + 0.5)", "log of non-positive value"),
+])
+def test_gauge_window_check_raises_at_the_first_failing_sample(h, want):
+    window = DomainGrid(-1.0, 1.0, -1.0, 1.0, 8, 8)
+    floor = 1e-9
+    hf = expr.coefficient_field(h)
+    alone = None
+    signs = set()
+    for (x, y) in window.points():
+        try:
+            v = hf(x, y, 0).value
+        except POINT_ERRORS as err:
+            alone = (type(err), str(err))
+            break
+        if abs(v) < floor:
+            alone = (ZeroCrossingError, f"multiplier vanishes near ({x:.3g}, {y:.3g})")
+            break
+        signs.add(v > 0)
+    if alone is None and len(signs) > 1:
+        alone = (ZeroCrossingError, "multiplier changes sign on the window")
+    assert (alone is None) == (want is None) and (want is None or want in alone[1])
+    assert _raised(lambda: gauge_transform(Operator3(*[1.0] * 10), h, window)) == alone
