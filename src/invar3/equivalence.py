@@ -125,6 +125,8 @@ class NaturalModel:
     field_names: list[str]
     field_values: np.ndarray  # (npts, nfields)
     points: np.ndarray        # (npts, 2) sample points in the chart domain
+    # readers of a point; at equal-length coordinate sequences they give a
+    # list holding per point the value or the error the point raises
     coords_jac: Callable      # (x, y) -> ((I1, I2), 2x2 Jacobian)
     fields_at: Callable       # (x, y) -> dict of field values (+ chart coords)
     connection_at: Callable | None = None  # (x, y) -> bundle connection form values
@@ -181,14 +183,19 @@ class _PointMemo:
     hit never changes a result.  A batch is one key: another batch, or one
     of its points, misses.  The memo holds at most ``limit`` keys and
     empties itself when full.
+
+    ``rows(xs, ys, order)``, where given, computes a batch of points for
+    :meth:`serve`: per point its value, or None where its row failed or is
+    not finite.
     """
 
-    __slots__ = ("_compute", "_store", "_limit")
+    __slots__ = ("_compute", "_store", "_limit", "_rows")
 
-    def __init__(self, compute: Callable, limit: int = 4096):
+    def __init__(self, compute: Callable, limit: int = 4096, rows: Callable | None = None):
         self._compute = compute
         self._store: dict = {}
         self._limit = limit
+        self._rows = rows
 
     def __call__(self, x, y, order: int):
         key = _memo_key(x, y)
@@ -210,6 +217,49 @@ class _PointMemo:
         if len(self._store) >= self._limit:
             self._store.clear()
         self._store[(x, y)] = (order, value)
+
+    def serve(self, xs, ys, order: int) -> list:
+        """Per point, the value at ``order``, or the error the point raises
+        alone.
+
+        Hits are served from the memo.  The distinct missing points are
+        computed as one batch by ``rows``, and each row is stored under its
+        own point, so that a later read of the point hits.  A point whose
+        row failed (every missing point, when the batch raises as a whole)
+        is computed alone, so that it gets exactly its one-point value or
+        error; so is a single missing point, which costs less alone than
+        as a batch of one.
+        """
+        found = {}
+        for p in zip(xs, ys):
+            if p not in found:
+                found[p] = self.peek(*p, order)
+        misses = [p for p, v in found.items() if v is None]
+        rows = [None] * len(misses)
+        if len(misses) > 1:
+            try:
+                rows = self._rows([p[0] for p in misses], [p[1] for p in misses], order)
+            except POINT_ERRORS:
+                pass  # the batch fails as a whole: each point alone
+        for p, v in zip(misses, rows):
+            if v is None:
+                [v] = masked(lambda x, y: self(x, y, order), [p])
+            else:
+                self.put(*p, order, v)
+            found[p] = v
+        return [found[p] for p in zip(xs, ys)]
+
+
+def _reader(memo: _PointMemo, order: int, part: Callable) -> Callable:
+    """A model's reader of ``part`` of a memo's values: at a point it gives
+    the part, or raises what the point raises; at equal-length coordinate
+    sequences, a list holding per point the part or that error (see
+    :meth:`_PointMemo.serve`)."""
+    def read(x, y):
+        if isinstance(x, (int, float, np.number)):
+            return part(memo(x, y, order))
+        return [v if isinstance(v, Exception) else part(v) for v in memo.serve(x, y, order)]
+    return read
 
 
 def _memo_key(x, y) -> tuple:
@@ -697,12 +747,19 @@ def _chart_memo(op_field: Operator3, selection: tuple[int, int]) -> _PointMemo:
     share their symbol fields can share the memo."""
     sym_field = Symbol3(*op_field.components[:4])
 
-    def compute(x: float, y: float, order: int):
+    def compute(x, y, order: int):
         (ci, cj), frame = _candidate_invariants(sym_field, x, y, order, with_frame=True,
                                                 which=selection)
         return ci, cj, _duals(frame)
 
-    return _PointMemo(compute, limit=8192)
+    def rows(xs, ys, order: int) -> list:
+        ci, cj, duals = compute(xs, ys, order)
+        duals = np.column_stack(duals)
+        finite = np.isfinite(np.hstack([ci.c, cj.c, duals])).all(axis=1)
+        return [(ci.row(k), cj.row(k), tuple(d)) if ok else None
+                for k, (ok, d) in enumerate(zip(finite.tolist(), duals.tolist()))]
+
+    return _PointMemo(compute, limit=8192, rows=rows)
 
 
 def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
@@ -717,17 +774,17 @@ def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
             cands, duals = seed
             charts.put(x, y, cands[0].order, (cands[i_sel], cands[j_sel], duals))
 
-    def coords_jac(x: float, y: float):
-        vals, J, _ = _chart_data(charts(x, y, 1))
-        return (vals, J)
-
-    def signature_at(x: float, y: float):
-        return _chart_data(charts(x, y, 1))[2]
+    # the readers take a point or coordinate sequences (see _reader)
+    coords_jac = _reader(charts, 1, lambda point: _chart_data(point)[:2])
+    signature_at = _reader(charts, 1, lambda point: _chart_data(point)[2])
 
     if mode == "scalar":
         field_names = list(_SCALAR_FIELDS)
 
-        def fields_at(x: float, y: float) -> dict:
+        def fields_at(x, y):
+            if not isinstance(x, (int, float, np.number)):
+                charts.serve(x, y, 3)  # the chart jets of all the points in one batch
+                return masked(fields_at, zip(x, y))
             I1, I2, _ = charts(x, y, 3)
             I1, I2 = as_jet(I1, 3), as_jet(I2, 3)
             opp = op_field.at(x, y, 0)
@@ -754,14 +811,13 @@ def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
         # with the density of its exterior derivative; the obstruction
         # report reads the latter at the matched points, whose fields were
         # compared before
-        records = _PointMemo(lambda x, y, _order: _bundle_record(
-            operator_invariants(op_field, x, y, mode="bundle")))
-
-        def fields_at(x: float, y: float) -> dict:
-            return records(x, y, 0)[0]
-
-        def connection_at(x: float, y: float) -> tuple[float, float, float]:
-            return records(x, y, 0)[1]
+        records = _PointMemo(
+            lambda x, y, _order: _bundle_record(operator_invariants(op_field, x, y, mode="bundle")),
+            rows=lambda xs, ys, _order: [
+                None if isinstance(inv, Exception) else _bundle_record(inv)
+                for inv in operator_invariants(op_field, xs, ys, mode="bundle")])
+        fields_at = _reader(records, 0, lambda record: record[0])
+        connection_at = _reader(records, 0, lambda record: record[1])
 
     # kept: regular points inside the coordinate cap where the selected
     # pair's Jacobian clears the floor (nan compares false)
@@ -769,18 +825,7 @@ def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
     kept = np.flatnonzero(
         (np.abs(stage.values[:, sel]).max(axis=1) <= cfg.coordinate_cap)
         & _clears_floor(stage.grads, selection, cfg.jacobian_floor))
-    kept_pts = [pts[k] for k in kept]
-    if mode == "scalar":
-        found = masked(fields_at, kept_pts)
-    else:
-        # one pass of the invariant pipeline over all kept grid points
-        found = operator_invariants(op_field, [p[0] for p in kept_pts],
-                                    [p[1] for p in kept_pts], mode="bundle")
-        for i, (p, inv) in enumerate(zip(kept_pts, found)):
-            if not isinstance(inv, Exception):
-                rec = _bundle_record(inv)
-                records.put(*p, 0, rec)
-                found[i] = rec[0]
+    found = fields_at([pts[k][0] for k in kept], [pts[k][1] for k in kept])
 
     npts = len(pts)
     fvals = np.full((npts, len(field_names)), np.nan)
@@ -846,9 +891,11 @@ def _bracketing_cells(model: NaturalModel, target: np.ndarray):
     return list(zip(centers, zip(x0 - mx, x1 + mx, y0 - my, y1 + my)))
 
 
-def _newton_solve(model: NaturalModel, target: np.ndarray, seed, bounds,
-                  cfg: EquivConfig, max_iter: int):
-    """Damped, clamped Newton for one seed; returns the solution or None."""
+def _newton_search(model: NaturalModel, target: np.ndarray, seed, bounds,
+                   cfg: EquivConfig, max_iter: int):
+    """Damped, clamped Newton for one seed, as a coroutine (see
+    :func:`_invert_chart`): each chart read is a yielded request
+    ``("coords_jac", x, y)``.  Returns the solution or None."""
     coord_scale = max(1.0, float(np.max(np.abs(model.values_masked))))
     span = max(model.grid.x1 - model.grid.x0, model.grid.y1 - model.grid.y0)
 
@@ -857,15 +904,12 @@ def _newton_solve(model: NaturalModel, target: np.ndarray, seed, bounds,
             return model.grid.contains(x, y, pad=cfg.domain_pad)
         return bounds[0] <= x <= bounds[1] and bounds[2] <= y <= bounds[3]
 
-    def residual(x, y):
-        (v1, v2), J = model.coords_jac(x, y)
-        return (v1 - target[0], v2 - target[1]), J
-
     x, y = seed
-    try:
-        (r1, r2), J = residual(x, y)
-    except POINT_ERRORS:
+    reply = yield ("coords_jac", x, y)
+    if isinstance(reply, Exception):
         return None
+    (v1, v2), J = reply
+    r1, r2 = v1 - target[0], v2 - target[1]
     err = math.hypot(r1, r2)
     for _ in range(max_iter):
         if err <= cfg.newton_tol * coord_scale:
@@ -885,12 +929,13 @@ def _newton_solve(model: NaturalModel, target: np.ndarray, seed, bounds,
         for _ in range(8):
             xn, yn = x - lam * dx, y - lam * dy
             if inside(xn, yn):
-                try:
-                    (n1, n2), Jn = residual(xn, yn)
-                    nerr = math.hypot(n1, n2)
-                except POINT_ERRORS:
+                reply = yield ("coords_jac", xn, yn)
+                if isinstance(reply, Exception):
                     nerr = math.inf
-                    Jn = None
+                else:
+                    (v1, v2), Jn = reply
+                    n1, n2 = v1 - target[0], v2 - target[1]
+                    nerr = math.hypot(n1, n2)
                 if nerr < err:
                     x, y, r1, r2, J, err = xn, yn, n1, n2, Jn, nerr
                     improved = True
@@ -901,39 +946,119 @@ def _newton_solve(model: NaturalModel, target: np.ndarray, seed, bounds,
     return (x, y) if err <= cfg.newton_tol * coord_scale else None
 
 
-def _invert_chart(model: NaturalModel, target: np.ndarray, cfg: EquivConfig,
-                  n_seeds: int = 3):
-    """Yield distinct chart preimages of the target (fold branches).
+def _rel(a: float, b: float) -> float:
+    """Pointwise relative discrepancy with a unit floor; a global field
+    scale would let near-pole magnitudes mask genuine differences."""
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _sig_mismatch(sa, sb) -> float:
+    """Largest difference of two branch signatures, relative to their scale."""
+    scale = max(1.0, max(abs(v) for v in sa), max(abs(v) for v in sb))
+    return max(abs(a - b) for a, b in zip(sa, sb)) / scale
+
+
+def _target_search(partner: NaturalModel, target: np.ndarray, own_sign, sig_own,
+                   f_own: dict, tol: float, cfg: EquivConfig, n_seeds: int = 3):
+    """The partner's best-matching chart preimage of one target, as a
+    coroutine (see :func:`_invert_chart`).  Returns ``(worst, diffs,
+    x_other)`` for the best branch, or None.
 
     Natural coordinates are only local coordinates, so a target value may
-    have several preimages on the window.  Branches are searched from every
-    bracketing sample cell (Newton clamped to the cell) and from the nearest
-    samples in coordinate space (Newton clamped to the padded window).
+    have several preimages on the window (fold branches).  Branches are
+    searched from every bracketing sample cell (Newton clamped to the cell)
+    and from the nearest samples in coordinate space (Newton clamped to the
+    padded window), in that order; a branch found before is not compared
+    again, and the search stops at a branch that already matches.
     """
-    span = max(model.grid.x1 - model.grid.x0, model.grid.y1 - model.grid.y0)
+    span = max(partner.grid.x1 - partner.grid.x0, partner.grid.y1 - partner.grid.y0)
+    seeds = [(center, bounds, 15) for center, bounds in _bracketing_cells(partner, target)]
+    samples = partner.points[partner.chart.mask]
+    _, idxs = partner.tree().query(target, k=min(n_seeds, len(samples)))
+    seeds += [(tuple(samples[i]), None, cfg.newton_max_iter) for i in np.atleast_1d(idxs)]
     found: list[tuple[float, float]] = []
-
-    def register(sol):
-        if sol is None:
-            return None
-        if any(math.hypot(sol[0] - fx, sol[1] - fy) < 1e-7 * span for (fx, fy) in found):
-            return None
+    best = None
+    for seed, bounds, max_iter in seeds:
+        sol = yield from _newton_search(partner, target, seed, bounds, cfg, max_iter)
+        if sol is None or any(math.hypot(sol[0] - fx, sol[1] - fy) < 1e-7 * span
+                              for (fx, fy) in found):
+            continue
         found.append(sol)
-        return sol
+        # compare only against branches the partner actually models: a
+        # preimage far outside its window is extrapolation
+        if not partner.grid.contains(*sol, pad=0.05):
+            continue
+        # the hidden chart map preserves orientation, so the matching branch
+        # must carry the owner's Jacobian sign; fold branches across a fold
+        # line have the opposite one
+        reply = yield ("coords_jac", *sol)
+        if isinstance(reply, Exception):
+            continue
+        jb = reply[1]
+        if np.sign(jb[0][0] * jb[1][1] - jb[0][1] * jb[1][0]) != own_sign:
+            continue
+        # a structural counterpart must reproduce the extended signature
+        # (frame derivatives of the chart invariants, themselves invariants
+        # of the principal symbol); fold impostors and perturbed-symbol
+        # partners fail here
+        sig = yield ("signature_at", *sol)
+        if isinstance(sig, Exception) or _sig_mismatch(sig_own, sig) > cfg.signature_tol:
+            continue
+        f_other = yield ("fields_at", *sol)
+        if isinstance(f_other, Exception):
+            continue
+        diffs = {n: _rel(f_own[n], f_other[n]) for n in f_own}
+        worst = max(diffs.values())
+        if best is None or worst < best[0]:
+            best = (worst, diffs, sol)
+        if best[0] <= 0.3 * tol:
+            break  # this branch already matches; skip the rest
+    return best
 
-    for (center, bounds) in _bracketing_cells(model, target):
-        sol = register(_newton_solve(model, target, center, bounds, cfg, 15))
-        if sol is not None:
-            yield sol
-    tree = model.tree()
-    samples = model.points[model.chart.mask]
-    k = min(n_seeds, len(samples))
-    _, idxs = tree.query(target, k=k)
-    for i in np.atleast_1d(idxs):
-        sol = register(_newton_solve(model, target, tuple(samples[i]), None,
-                                     cfg, cfg.newton_max_iter))
-        if sol is not None:
-            yield sol
+
+def _newton_solve(model: NaturalModel, requests: list) -> list:
+    """One lockstep step: the outcome of each request ``(reader, x, y)``,
+    the value of ``model.<reader>`` at the point or the error the point
+    raises there.  The requests to one reader (the Newton iterates of every
+    live search, say) are answered in one batched call."""
+    out = [None] * len(requests)
+    by_reader: dict = {}
+    for i, (name, _, _) in enumerate(requests):
+        by_reader.setdefault(name, []).append(i)
+    for name, idx in by_reader.items():
+        xs = [requests[i][1] for i in idx]
+        ys = [requests[i][2] for i in idx]
+        for i, value in zip(idx, getattr(model, name)(xs, ys)):
+            out[i] = value
+    return out
+
+
+def _invert_chart(model: NaturalModel, searches: list) -> list:
+    """Run the chart searches of one gather in lockstep; returns what each
+    search returns.
+
+    A search is a coroutine that yields each read of the model it needs as
+    a request ``(reader, x, y)`` and is sent the outcome: the value, or the
+    error the point raises there (see :func:`_newton_solve`).  Each step
+    answers the pending requests of all live searches together, so a
+    search reads the same values, and runs the same seeds, as it would
+    alone.
+    """
+    results = [None] * len(searches)
+    replies = [None] * len(searches)
+    live = list(range(len(searches)))
+    while live:
+        pending = []
+        for k in live:
+            try:
+                pending.append((k, searches[k].send(replies[k])))
+            except StopIteration as stop:
+                results[k] = stop.value
+        live = [k for k, _ in pending]
+        if pending:
+            for k, reply in zip(live, _newton_solve(model, [r for _, r in pending])):
+                replies[k] = reply
+    return results
 
 
 def _compare_models(model_a: NaturalModel, model_b: NaturalModel, tol: float,
@@ -981,22 +1106,14 @@ def _compare_models(model_a: NaturalModel, model_b: NaturalModel, tol: float,
     # Matching targets are taken from each model's own sampled coordinate
     # values (the convex hull can overcover a curvilinear image, so free
     # grid targets may have no preimage); the owning chart needs no
-    # inversion there.  The partner chart is inverted by damped Newton;
-    # among the partner's fold branches the best-matching one is scored,
-    # which tests mutual coverage of the two multivalued graphs.
+    # inversion there.  The partner chart is inverted by damped Newton, at
+    # all targets of a gather in lockstep; among the partner's fold branches
+    # the best-matching one is scored, which tests mutual coverage of the
+    # two multivalued graphs.
     field_names = model_a.field_names
     diag = {name: 0.0 for name in field_names}
     matched: list[tuple[np.ndarray, tuple, tuple]] = []
     considered = 0
-
-    def rel(a: float, b: float) -> float:
-        # pointwise relative discrepancy with a unit floor; a global field
-        # scale would let near-pole magnitudes mask genuine differences
-        return abs(a - b) / max(1.0, abs(a), abs(b))
-
-    def sig_mismatch(sa, sb) -> float:
-        scale = max(1.0, max(abs(v) for v in sa), max(abs(v) for v in sb))
-        return max(abs(a - b) for a, b in zip(sa, sb)) / scale
 
     def gather(owner: NaturalModel, partner: NaturalModel, budget: int, flip: bool):
         nonlocal considered
@@ -1018,46 +1135,20 @@ def _compare_models(model_a: NaturalModel, model_b: NaturalModel, tol: float,
             stride = int(np.ceil(len(idxs) / budget))
             idxs = idxs[::stride]
         jacs = owner.chart.jacobians[owner.chart.mask]
+        targets, searches = [], []
         for k in idxs:
-            t = vals[k]
             x_own = (float(pts[k][0]), float(pts[k][1]))
-            ja = jacs[k]
-            own_sign = np.sign(ja[0, 0] * ja[1, 1] - ja[0, 1] * ja[1, 0])
-            f_own = dict(zip(field_names, rows[k]))
             try:
                 sig_own = owner.signature_at(*x_own)
             except POINT_ERRORS:
                 continue
             considered += 1
-            best = None
-            for x_other in _invert_chart(partner, t, cfg):
-                # compare only against branches the partner actually models:
-                # a preimage far outside its window is extrapolation
-                if not partner.grid.contains(*x_other, pad=0.05):
-                    continue
-                try:
-                    # the hidden chart map preserves orientation, so the
-                    # matching branch must carry the owner's Jacobian sign;
-                    # fold branches across a fold line have the opposite one
-                    _, jb = partner.coords_jac(*x_other)
-                    det_b = jb[0][0] * jb[1][1] - jb[0][1] * jb[1][0]
-                    if np.sign(det_b) != own_sign:
-                        continue
-                    # a structural counterpart must reproduce the extended
-                    # signature (frame derivatives of the chart invariants,
-                    # themselves invariants of the principal symbol); fold
-                    # impostors and perturbed-symbol partners fail here
-                    if sig_mismatch(sig_own, partner.signature_at(*x_other)) > cfg.signature_tol:
-                        continue
-                    f_other = partner.fields_at(*x_other)
-                except POINT_ERRORS:
-                    continue
-                diffs = {n: rel(f_own[n], f_other[n]) for n in field_names}
-                worst = max(diffs.values())
-                if best is None or worst < best[0]:
-                    best = (worst, diffs, x_other)
-                if best[0] <= 0.3 * tol:
-                    break  # this branch already matches; skip the rest
+            ja = jacs[k]
+            own_sign = np.sign(ja[0, 0] * ja[1, 1] - ja[0, 1] * ja[1, 0])
+            targets.append((vals[k], x_own))
+            searches.append(_target_search(partner, vals[k], own_sign, sig_own,
+                                           dict(zip(field_names, rows[k])), tol, cfg))
+        for (t, x_own), best in zip(targets, _invert_chart(partner, searches)):
             if best is None:
                 continue
             _, diffs, x_other = best

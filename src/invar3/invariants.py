@@ -422,9 +422,11 @@ def _per_point(compute: Callable, xs, ys) -> list:
     are computed alone, so each point gets exactly its one-point result or
     error; a one-point result that is still not finite is masked, naming
     its non-finite values.  A batch that fails as a whole leaves every
-    point to be computed alone.
+    point to be computed alone.  No points give an empty list.
     """
     xs, ys = list(xs), list(ys)
+    if not xs:
+        return []
     try:
         batch = compute(xs, ys)
         alone = np.flatnonzero(_non_finite_rows(batch, len(xs))).tolist()

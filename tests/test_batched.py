@@ -411,6 +411,13 @@ def test_per_point_makes_one_batched_pass(monkeypatch):
     assert batched.count(True) == 1 and batched.count(False) == 16
 
 
+@pytest.mark.parametrize("mode", ["scalar", "bundle"])
+def test_operator_invariants_of_no_points_are_an_empty_list(mode):
+    op = random_operator(rng_for(32))
+    assert operator_invariants(op, [], [], mode=mode) == []
+    assert operator_invariants(op.map(equivalence._memoized_field), [], [], mode=mode) == []
+
+
 def test_bundle_model_reuses_the_connection_form_of_its_fields():
     op = random_operator(rng_for(31))
     grid = DomainGrid(0.0, 1.0, 0.0, 1.0, 8, 8)

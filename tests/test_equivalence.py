@@ -17,8 +17,8 @@ from invar3.equivalence import (DomainGrid, EquivConfig, build_natural_model,
                                 line_bundle_connection, normalize,
                                 pushforward_operator, pushforward_symbol,
                                 scale_operator)
-from invar3.errors import (GeneralPositionError, InverseMismatchError,
-                           NonPositiveScaleError, ZeroCrossingError)
+from invar3.errors import (DomainEvalError, GeneralPositionError, InverseMismatchError,
+                           NonPositiveScaleError, ZeroCrossingError, masked)
 from invar3.expr import coefficient_field, cos as ecos
 from invar3.expr import exp as eexp
 from invar3.expr import sin as esin
@@ -534,3 +534,248 @@ def test_bracketing_cells_match_per_cell_reference(seed, kind, nx, ny):
         got = _bracketing_cells(model, target)
         want = _bracketing_cells_reference(model, target)
         assert repr(got) == repr(want)
+
+
+# -- lockstep chart inversion ------------------------------------------------------------
+
+def _drive_alone(model, search):
+    """The reference driver: each request of a search answered alone, by the
+    model's one-point reader."""
+    reply = None
+    while True:
+        try:
+            name, x, y = search.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        [reply] = masked(getattr(model, name), [(x, y)])
+
+
+def _pair_models(seed: int, mode: str, partner: str):
+    """Natural models of a conftest operator and of a partner: its pushed
+    (and, in bundle mode, gauged) image, or the operator with a shifted
+    zeroth-order term.  Everything is built afresh, so that two calls share
+    no memo."""
+    rng = rng_for(seed)
+    op = random_operator(rng)
+    phi, phinv = random_diffeo(rng)
+    grid_b = image_box(phi, GRID)
+    if partner == "moved":
+        other = pushforward_operator(op, phi, phinv, GRID)
+        if mode == "bundle":
+            other = gauge_transform(other, random_gauge(rng), grid_b)
+    else:
+        other, grid_b = Operator3(*op.components[:9], op.a0 + 0.1), GRID
+    owner = build_natural_model(op, GRID, mode, config=FAST)
+    return owner, build_natural_model(other, grid_b, mode, owner.chart.selection, FAST)
+
+
+def _target_searches(owner, partner, n=8):
+    """A gather's searches: one per owner sample, as :func:`_compare_models`
+    makes them."""
+    from invar3.equivalence import _target_search
+    vals = owner.values_masked
+    pts = owner.points[owner.chart.mask]
+    jacs = owner.chart.jacobians[owner.chart.mask]
+    rows = owner.field_values[owner.chart.mask]
+    searches = []
+    for k in np.linspace(0, len(vals) - 1, n).astype(int):
+        ja = jacs[k]
+        searches.append(_target_search(
+            partner, vals[k], np.sign(ja[0, 0] * ja[1, 1] - ja[0, 1] * ja[1, 0]),
+            owner.signature_at(*pts[k]), dict(zip(owner.field_names, rows[k])), 1e-6, FAST))
+    return searches
+
+
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10 ** 6), st.sampled_from(["scalar", "bundle"]))
+def test_lockstep_newton_matches_the_reference_driver(seed, mode):
+    """Newton from random seeds towards random targets, run in lockstep
+    and each request alone: the same solution or None, exactly."""
+    from invar3.equivalence import _invert_chart, _newton_search
+    runs = []
+    for lockstep in (True, False):
+        _, partner = _pair_models(seed % 50, mode, "moved")
+        draw = rng_for(seed)
+        vals = partner.values_masked
+        pts = partner.points[partner.chart.mask]
+        g = partner.grid
+        searches = []
+        for _ in range(8):
+            # near a sample, from near its point or from anywhere on the window
+            k = draw.integers(len(vals))
+            target = vals[k] + draw.normal(0.0, 0.05, 2) * vals.std(axis=0)
+            start = tuple(pts[k] + draw.normal(0.0, 0.05, 2)) if draw.random() < 0.5 else (
+                g.x0 + (g.x1 - g.x0) * draw.random(), g.y0 + (g.y1 - g.y0) * draw.random())
+            bounds = None if draw.random() < 0.5 else (start[0] - 0.2, start[0] + 0.2,
+                                                       start[1] - 0.2, start[1] + 0.2)
+            searches.append(_newton_search(partner, target, start, bounds, FAST,
+                                           int(draw.choice([15, 40]))))
+        runs.append(_invert_chart(partner, searches) if lockstep
+                    else [_drive_alone(partner, s) for s in searches])
+    assert runs[0] == runs[1]
+    assert any(sol is not None for sol in runs[0])
+
+
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10 ** 6), st.sampled_from(["scalar", "bundle"]),
+       st.sampled_from(["moved", "shifted"]))
+def test_lockstep_gather_matches_the_reference_driver(seed, mode, partner):
+    """A gather's target searches, in lockstep and each request alone: the
+    same best branch (worst discrepancy, per-field discrepancies, partner
+    point) or None for every target, exactly."""
+    from invar3.equivalence import _invert_chart
+    runs = []
+    for lockstep in (True, False):
+        owner, other = _pair_models(seed % 50, mode, partner)
+        searches = _target_searches(owner, other)
+        runs.append(_invert_chart(other, searches) if lockstep
+                    else [_drive_alone(other, s) for s in searches])
+    assert runs[0] == runs[1]
+    assert any(best is not None for best in runs[0])
+
+
+def _with_ln_symbol(op: Operator3) -> Operator3:
+    """The operator with a symbol that leaves the domain of ln where x <= -0.2."""
+    from invar3.expr import ln
+    comps = list(op.components)
+    comps[1] = comps[1] + 0.01 * ln(X + 0.2)
+    return Operator3(*comps)
+
+
+@pytest.mark.parametrize("mode", ["scalar", "bundle"])
+def test_lockstep_newton_gives_none_where_the_chart_raises(mode):
+    """Seeds where the chart raises (left of x = -0.2), mixed into one
+    lockstep with seeds where it does not: None there on both drivers."""
+    from invar3.equivalence import _invert_chart, _newton_search
+    from invar3.errors import POINT_ERRORS
+    runs = []
+    for lockstep in (True, False):
+        model = build_natural_model(_with_ln_symbol(random_operator(rng_for(508))), GRID,
+                                    mode, config=FAST)
+        targets = model.values_masked[::9]
+        starts = [(-0.5, 0.2), (0.3, 0.6), (-0.3, 0.8), (0.7, 0.1), (-1.0, 0.5)]
+        searches = [_newton_search(model, t, s, None, FAST, 40)
+                    for t, s in zip(targets, starts)]
+        runs.append(_invert_chart(model, searches) if lockstep
+                    else [_drive_alone(model, s) for s in searches])
+    assert runs[0] == runs[1]
+    for (x, y), sol in zip(starts, runs[0]):
+        if x < -0.2:
+            with pytest.raises(POINT_ERRORS):
+                model.coords_jac(x, y)
+            assert sol is None
+    assert runs[0][1] is not None
+
+
+def test_chart_memo_computes_a_failed_row_alone_once(monkeypatch):
+    """One batch for the distinct missing points, then each failed row
+    alone, once; every row equals its one-point value, the failed one
+    gets its one-point error, and later one-point reads hit."""
+    from invar3 import equivalence
+    from invar3.equivalence import _candidate_invariants, _chart_memo
+    calls = []
+
+    def counted(sym_field, x, y, *args, **kwargs):
+        calls.append(x)
+        return _candidate_invariants(sym_field, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "_candidate_invariants", counted)
+    op = _with_ln_symbol(random_operator(rng_for(509)))
+    memo = _chart_memo(op, (0, 1))
+    xs, ys = [0.5, -0.5, 0.3, 0.5], [0.5, 0.5, 0.2, 0.5]
+    got = memo.serve(xs, ys, 1)
+    assert calls == [[0.5, -0.5, 0.3], -0.5]
+    assert isinstance(got[1], DomainEvalError) and got[0] is got[3]
+    fresh = _chart_memo(op, (0, 1))
+    for (x, y), row in zip(zip(xs, ys), got):
+        if not isinstance(row, Exception):
+            alone = fresh(x, y, 1)
+            assert all(a.order == b.order and np.array_equal(a.c, b.c)
+                       for a, b in zip(row[:2], alone[:2]))
+            assert row[2] == alone[2]
+    calls.clear()
+    assert memo(0.3, 0.2, 1) is got[2] and calls == []
+
+
+def test_point_memo_serve_batches_only_what_it_must():
+    from invar3.equivalence import _PointMemo
+    batches, alone = [], []
+
+    def compute(x, y, order):
+        alone.append(x)
+        return -x
+
+    def rows(xs, ys, order):
+        batches.append(xs)
+        if 9.0 in xs:
+            raise OverflowError("math range error")
+        return [None if x == 2.0 else -x for x in xs]
+
+    memo = _PointMemo(compute, rows=rows)
+    assert memo.serve([1.0, 2.0, 3.0, 1.0], [0.0] * 4, 1) == [-1.0, -2.0, -3.0, -1.0]
+    assert batches == [[1.0, 2.0, 3.0]] and alone == [2.0]
+    # hits and a single miss make no batch
+    assert memo.serve([1.0, 3.0, 4.0], [0.0] * 3, 1) == [-1.0, -3.0, -4.0]
+    assert batches == [[1.0, 2.0, 3.0]] and alone == [2.0, 4.0]
+    # a batch that raises as a whole leaves each point alone
+    assert memo.serve([8.0, 9.0], [0.0] * 2, 1) == [-8.0, -9.0]
+    assert batches[-1] == [8.0, 9.0] and alone[-2:] == [8.0, 9.0]
+    assert memo.serve([], [], 1) == []
+
+
+def test_lockstep_gather_makes_fewer_chart_calls(monkeypatch):
+    from invar3 import equivalence
+    from invar3.equivalence import _candidate_invariants, _invert_chart
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _candidate_invariants(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "_candidate_invariants", counted)
+    counts = []
+    for lockstep in (True, False):
+        owner, partner = _pair_models(510, "bundle", "moved")
+        searches = _target_searches(owner, partner)
+        calls.clear()
+        if lockstep:
+            _invert_chart(partner, searches)
+        else:
+            [_drive_alone(partner, s) for s in searches]
+        counts.append(len(calls))
+    assert 0 < counts[0] < counts[1]
+
+
+def test_traced_verdict_counts_the_newton_layers():
+    """perfbench's tracer around one bundle verdict: both chart-inversion
+    layers count calls, no layer is missing, and the verdict is the one
+    made untraced."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    def verdict():
+        local = rng_for(504)
+        op = random_operator(local)
+        phi, phinv = random_diffeo(local)
+        h = random_gauge(local)
+        box = image_box(phi, GRID)
+        moved = gauge_transform(pushforward_operator(op, phi, phinv, GRID), h, box)
+        return equivalent_bundle(op, moved, GRID, box, tol=1e-6, config=FAST)
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        traced = verdict()
+    finally:
+        tracer.uninstall()
+    assert repr(traced) == repr(verdict())
+    assert tracer.missing == []
+    metrics = tracer.metrics(overhead_frac=0.0)
+    assert all(m["value"] is not None for m in metrics.values())
+    assert metrics["equivalence.invert_chart.calls"]["value"] > 0
+    assert metrics["equivalence.newton.calls"]["value"] > 0
