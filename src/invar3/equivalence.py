@@ -25,9 +25,9 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .connection import AffineConnection, OneForm, exterior_derivative
-from .errors import (POINT_ERRORS, GeneralPositionError, InverseMismatchError,
-                     NonPositiveScaleError, RegularityError, ZeroCrossingError,
-                     masked, raise_where)
+from .errors import (POINT_ERRORS, DomainEvalError, GeneralPositionError,
+                     InverseMismatchError, NonPositiveScaleError, RegularityError,
+                     ZeroCrossingError, masked, raise_where)
 from .expr import BatchField, Expr, coefficient_field, field_at
 from .invariants import (conformal_frame_data, decompose_cubic,
                          symbol_coframe_point)
@@ -389,9 +389,7 @@ def pushforward_operator(op: Operator3, phi, phi_inv,
         for beta, v in raw_p.items():
             j = v if isinstance(v, Jet2) else Jet2.constant(v, order)
             raw_y[beta] = compose(j.truncated(min(j.order, order)), inv1, inv2)
-        if inv1.batched:
-            return _nan_where_failed(raw_y, (inv1, inv2, *phi_jets, *coeff_jets.values()))
-        return raw_y
+        return _nan_where_failed(raw_y, (inv1, inv2, *phi_jets, *coeff_jets.values()))
 
     return _raw_slot_operator(raw_at)
 
@@ -400,11 +398,12 @@ _PRINCIPAL_SLOTS = ("a1", "a2", "a3", "a4")
 
 
 def _nan_where_failed(raw: dict, inputs) -> dict:
-    """Batched raw coefficients, NaN on every row where one of the input
-    jets is not finite: a point raises as a whole where one of its fields
-    raises, and a field's batch is NaN just there."""
+    """The raw coefficients, checked for finite input jets: a point raises
+    where one of its fields is not finite, and a batch is NaN on those rows
+    (a field's batch is NaN where the point alone raises)."""
     bad = reduce(np.logical_or, [~np.isfinite(j.c).all(axis=-1) for j in inputs])
-    return {beta: raise_where(bad, None, v) for beta, v in raw.items()}
+    return {beta: raise_where(bad, lambda: DomainEvalError(
+        "a coefficient field is not finite at this point"), v) for beta, v in raw.items()}
 
 
 def _raw_slot_operator(raw_at: Callable) -> Operator3:
@@ -497,9 +496,7 @@ def gauge_transform(op: Operator3, h, window: DomainGrid | None = None,
                     term = ha_jet * dparts[(a1 - b1, a2 - b2)] * cmb
                     slot = (b1, b2)
                     out[slot] = out.get(slot, 0.0) + term
-        if hj.batched:
-            return _nan_where_failed(out, (hj, *coeff_jets.values()))
-        return out
+        return _nan_where_failed(out, (hj, *coeff_jets.values()))
 
     return _raw_slot_operator(raw_at)
 

@@ -416,7 +416,7 @@ def eval_jet(e: Expr, p: tuple, order: int = 5) -> Jet2:
             return _stacked(masked(lambda xk, yk: eval_jet(e, (xk, yk), order), zip(x, y)),
                             order)
     c = np.broadcast_to(c, (len(x), jets.ncoef(order)))
-    return Jet2._new(order, np.where(np.isfinite(c).all(axis=1, keepdims=True), c, np.nan))
+    return jets._make(order, np.where(np.isfinite(c).all(axis=1, keepdims=True), c, np.nan))
 
 
 def _stacked(rows: list, order: int) -> Jet2:

@@ -12,12 +12,13 @@ Elementary functions are applied through their univariate Taylor series
 around the jet's constant term (Horner in ``u - u0``).
 
 A jet may also hold a batch: coefficients shaped ``(N, ncoef)``, one row
-per base point.  Every operation then acts row by row, with the same
-floating-point operations in the same order as on a single point, so a
-row of a batched result is bit-identical to the unbatched computation.
-A pointwise check (a zero constant term, a negative radicand) raises on
-one point; on a batch it turns the failing rows to NaN and the batch goes
-on (see :func:`~invar3.errors.raise_where`).
+per base point.  Every operation has one body for either rank (``c.T[k]``
+is coefficient k on either) and runs the same floating-point operations in
+the same order on every row, so a row of a batched result is bit-identical
+to the one-point computation.  Rank shows only where the contract differs:
+the inspection methods give a float at one point, and a pointwise check (a
+zero constant term, a negative radicand) raises on one point and turns the
+failing rows to NaN on a batch (see :func:`~invar3.errors.raise_where`).
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ def _conv_table(ka: int, kb: int, kout: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 # _MUL_TABLES[order of a][order of b] -> (product order, its ncoef, out, a, b
-# indices), or None until first used; nested lists keep the per-multiply
-# lookup cheap
+# indices, [the out indices offset by row, for the largest batch seen (a
+# smaller batch, or one point, uses a prefix)]), or None until first used;
+# nested lists keep the per-multiply lookup cheap
 _MUL_TABLES: list = []
 
 
@@ -75,7 +77,8 @@ def _mul_table(ka: int, kb: int) -> tuple:
         row.extend([None] * (size - len(row)))
     _MUL_TABLES.extend([None] * size for _ in range(size - len(_MUL_TABLES)))
     k = min(ka, kb)
-    table = (k, ncoef(k), *_conv_table(ka, kb, k))
+    oi, ai, bi = _conv_table(ka, kb, k)
+    table = (k, ncoef(k), oi, ai, bi, [oi])
     _MUL_TABLES[ka][kb] = table
     return table
 
@@ -88,44 +91,21 @@ def _table(ka: int, kb: int) -> tuple:
 
 
 def _product(a: np.ndarray, b: np.ndarray, table: tuple) -> np.ndarray:
-    """Truncated convolution of two coefficient arrays.
-
-    Every output coefficient is summed from zero in the table's term order.
-    The order-0 and order-1 products, the bulk of the per-point chart work,
-    do that sum in plain floats, which is the same arithmetic.
-    """
-    k, n, oi, ai, bi = table
-    if k > 1:
-        return _bincount(oi, a[ai] * b[bi], n)
-    if k == 1:
-        a0, a1, a2 = a[:3].tolist()
-        b0, b1, b2 = b[:3].tolist()
-        return _array((0.0 + a0 * b0, 0.0 + a0 * b1 + a1 * b0, 0.0 + a0 * b2 + a2 * b0))
-    return _array((0.0 + float(a[0]) * float(b[0]),))
-
-
-def _batch_product(a: np.ndarray, b: np.ndarray, table: tuple) -> np.ndarray:
-    """:func:`_product` row by row, where either array (or both) holds a
-    batch: one bincount over output indices offset by row, so each row's
-    coefficients are summed from zero in the table's term order."""
-    k, n, oi, ai, bi = table
+    """Truncated convolution of two coefficient arrays, either of which (or
+    both) may hold a batch: one bincount over output indices offset by row,
+    so each row's coefficients are summed from zero in the table's term
+    order, as at one point."""
+    _, n, oi, ai, bi, row_index = table
     terms = a.take(ai, axis=-1) * b.take(bi, axis=-1)
-    rows, size = terms.shape
-    idx = _ROW_INDEX.get(id(oi))
-    if idx is None or len(idx) < rows * size:
-        idx = _ROW_INDEX[id(oi)] = (oi + n * np.arange(rows)[:, None]).ravel()
-    return _bincount(idx[:rows * size], terms.ravel(), rows * n).reshape(rows, n)
-
-
-# id of an output-index table -> those indices offset by row, for the
-# largest batch seen (a smaller batch uses a prefix); the tables live for
-# the whole process, so their ids are stable keys
-_ROW_INDEX: dict = {}
+    size = terms.size
+    rows = size // len(oi)  # 1 at one point
+    if len(row_index[0]) < size:
+        row_index[0] = (oi + n * np.arange(rows)[:, None]).ravel()
+    return _bincount(row_index[0][:size], terms.ravel(), rows * n).reshape(terms.shape[:-1] + (n,))
 
 
 # the C implementation, without the array-function dispatch wrapper
 _bincount = getattr(np.bincount, "_implementation", np.bincount)
-_array = np.array
 _object_new = object.__new__
 
 
@@ -172,11 +152,6 @@ class Jet2:
                 f"order-{order} jet needs {ncoef(order)} coefficients, got shape {c.shape}")
         self.order = order
         self.c = c
-
-    @classmethod
-    def _new(cls, order: int, c: np.ndarray) -> "Jet2":
-        """Internal fast path: trusted coefficients, no validation."""
-        return _make(order, c)
 
     # -- constructors -----------------------------------------------------
 
@@ -245,8 +220,7 @@ class Jet2:
             if order == self.order:
                 return self
             raise OrderMismatchError(f"cannot extend order {self.order} jet to order {order}")
-        c = self.c
-        return _make(order, c[:ncoef(order)] if c.ndim == 1 else c[:, :ncoef(order)])
+        return _make(order, self.c[..., :ncoef(order)])
 
     def __repr__(self) -> str:
         if self.batched:
@@ -259,15 +233,13 @@ class Jet2:
         if self.order < 1:
             raise OrderMismatchError("cannot differentiate an order-0 jet")
         src, mult = _diff_table(self.order, 0)
-        c = self.c
-        return _make(self.order - 1, (c[src] if c.ndim == 1 else c.take(src, axis=1)) * mult)
+        return _make(self.order - 1, self.c.take(src, axis=-1) * mult)
 
     def dy(self) -> "Jet2":
         if self.order < 1:
             raise OrderMismatchError("cannot differentiate an order-0 jet")
         src, mult = _diff_table(self.order, 1)
-        c = self.c
-        return _make(self.order - 1, (c[src] if c.ndim == 1 else c.take(src, axis=1)) * mult)
+        return _make(self.order - 1, self.c.take(src, axis=-1) * mult)
 
     # -- ring operations ---------------------------------------------------
 
@@ -276,17 +248,11 @@ class Jet2:
             if self.order == other.order:
                 return _make(self.order, self.c + other.c)
             low = self if self.order < other.order else other
-            a, b = self.c, other.c
             n = low.c.shape[-1]
-            if a.ndim + b.ndim == 2:
-                return _make(low.order, a[:n] + b[:n])
-            return _make(low.order, _prefix(a, n) + _prefix(b, n))
+            return _make(low.order, self.c[..., :n] + other.c[..., :n])
         if isinstance(other, (int, float)):
             c = self.c.copy()
-            if c.ndim == 1:
-                c[0] += other
-            else:
-                c[:, 0] += other
+            c.T[0] += other
             return _make(self.order, c)
         return NotImplemented
 
@@ -300,17 +266,11 @@ class Jet2:
             if self.order == other.order:
                 return _make(self.order, self.c - other.c)
             low = self if self.order < other.order else other
-            a, b = self.c, other.c
             n = low.c.shape[-1]
-            if a.ndim + b.ndim == 2:
-                return _make(low.order, a[:n] - b[:n])
-            return _make(low.order, _prefix(a, n) - _prefix(b, n))
+            return _make(low.order, self.c[..., :n] - other.c[..., :n])
         if isinstance(other, (int, float)):
             c = self.c.copy()
-            if c.ndim == 1:
-                c[0] -= other
-            else:
-                c[:, 0] -= other
+            c.T[0] -= other
             return _make(self.order, c)
         return NotImplemented
 
@@ -319,21 +279,13 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            a, b = self.c, other.c
-            try:
-                table = (_MUL_TABLES[self.order][other.order]
-                         or _mul_table(self.order, other.order))
-            except IndexError:
-                table = _mul_table(self.order, other.order)
-            out = _object_new(Jet2)
-            out.order = table[0]
-            out.c = (_product if a.ndim + b.ndim == 2 else _batch_product)(a, b, table)
-            return out
+            table = _table(self.order, other.order)
+            return _make(table[0], _product(self.c, other.c, table))
         if isinstance(other, (int, float)):
             return _make(self.order, self.c * other)
         if isinstance(other, np.ndarray):
-            # one number per row of a batch
-            return _make(self.order, self.c * other[:, None])
+            # one number per row of a batch (or a 0-d array at one point)
+            return _make(self.order, self.c * other[..., None])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -371,11 +323,6 @@ class Jet2:
         return result
 
 
-def _prefix(c: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` coefficients (of every row, on a batch)."""
-    return c[:n] if c.ndim == 1 else c[:, :n]
-
-
 def as_jet(v, order: int) -> Jet2:
     """Lift numbers to constant jets; pass jets through (truncating)."""
     if isinstance(v, Jet2):
@@ -396,39 +343,35 @@ def _series_apply(u: Jet2, coeffs: np.ndarray) -> Jet2:
     k = u.order
     table = _table(k, k)
     du = u.c.copy()
-    if du.ndim == 1:
-        du[0] = 0.0
-        acc = np.zeros(table[1])
-        acc[0] = coeffs[k]
-        for m in range(k - 1, -1, -1):
-            acc = _product(acc, du, table)
-            acc[0] += coeffs[m]
-        return _make(k, acc)
-    # a batch: the same Horner steps on every row
-    du[:, 0] = 0.0
+    du.T[0] = 0.0
     acc = np.zeros(du.shape)
-    acc[:, 0] = coeffs[:, k]
+    acc.T[0] = coeffs.T[k]
     for m in range(k - 1, -1, -1):
-        acc = _batch_product(acc, du, table)
-        acc[:, 0] += coeffs[:, m]
+        acc = _product(acc, du, table)
+        acc.T[0] += coeffs.T[m]
     return _make(k, acc)
 
 
-def _coefficients(u: Jet2, series):
+def _coefficients(u: Jet2, series, name: str) -> np.ndarray:
     """The outer function's Taylor coefficients ``series(u0, order)`` at the
-    constant term; on a batch, an array with one row per point, each row
-    computed by the same scalar code (so elementary functions round exactly
-    as on one point)."""
-    if u.c.ndim == 1:
-        return series(u.value, u.order)
-    return np.array([series(u0, u.order) for u0 in u.c[:, 0].tolist()], dtype=float)
+    constant term, one row per point on a batch, each computed by the same
+    scalar code (so elementary functions round exactly as on one point).
+    A coefficient that overflows raises a :class:`DomainEvalError` naming
+    the function ``name`` and the constant term."""
+    u0 = u.c[..., 0]
+    rows = []
+    try:
+        for v in u0.ravel().tolist():
+            rows.append(series(v, u.order))
+    except OverflowError:
+        raise DomainEvalError(
+            f"{name} overflows: a series coefficient at constant term {v:.6g}") from None
+    return np.array(rows, dtype=float).reshape(u0.shape + (u.order + 1,))
 
 
 def _flip(u: Jet2, negative) -> Jet2:
     """-u where ``negative`` holds (per row on a batch)."""
-    if isinstance(negative, np.ndarray):
-        return _make(u.order, np.where(negative[:, None], -u.c, u.c))
-    return -u if negative else u
+    return u * np.where(negative, -1.0, 1.0)
 
 
 def _reciprocal_series(u0: float, order: int):
@@ -442,7 +385,7 @@ def _zero_divisor() -> DomainEvalError:
 
 def _reciprocal(u: Jet2) -> Jet2:
     u = raise_where(u.value == 0.0, _zero_divisor, u)
-    return _series_apply(u, _coefficients(u, _reciprocal_series))
+    return _series_apply(u, _coefficients(u, _reciprocal_series, "reciprocal"))
 
 
 def _exp_series(u0: float, order: int):
@@ -453,7 +396,7 @@ def _exp_series(u0: float, order: int):
 def exp(u):
     if isinstance(u, (int, float)):
         return math.exp(u)
-    return _series_apply(u, _coefficients(u, _exp_series))
+    return _series_apply(u, _coefficients(u, _exp_series, "exp"))
 
 
 def _ln_series(u0: float, order: int):
@@ -470,7 +413,7 @@ def ln(u):
         return math.log(u)
     u0 = u.value
     u = raise_where(u0 <= 0.0, lambda: DomainEvalError(f"log of non-positive value {u0}"), u)
-    return _series_apply(u, _coefficients(u, _ln_series))
+    return _series_apply(u, _coefficients(u, _ln_series, "ln"))
 
 
 def _sin_series(u0: float, order: int):
@@ -488,13 +431,13 @@ def _cos_series(u0: float, order: int):
 def sin(u):
     if isinstance(u, (int, float)):
         return math.sin(u)
-    return _series_apply(u, _coefficients(u, _sin_series))
+    return _series_apply(u, _coefficients(u, _sin_series, "sin"))
 
 
 def cos(u):
     if isinstance(u, (int, float)):
         return math.cos(u)
-    return _series_apply(u, _coefficients(u, _cos_series))
+    return _series_apply(u, _coefficients(u, _cos_series, "cos"))
 
 
 def _binomial_series(u: Jet2, r: float) -> Jet2:
@@ -506,7 +449,7 @@ def _binomial_series(u: Jet2, r: float) -> Jet2:
             acc *= (r - (k - 1)) / k / u0
             coeffs.append(acc)
         return coeffs
-    return _series_apply(u, _coefficients(u, series))
+    return _series_apply(u, _coefficients(u, series, f"power {r:.6g}"))
 
 
 def sqrt(u):
@@ -587,27 +530,26 @@ def compose(f: Jet2, phi1: Jet2, phi2: Jet2) -> Jet2:
     # on a batch (in any of the three jets) every row runs the same Horner
     # steps as alone
     rows = max((j.c.shape[:-1] for j in (f, phi1, phi2)), key=len)
-    product = _batch_product if rows else _product
     n = ncoef(k)
     table = _table(k, k)
-    u = _prefix(phi1.c, n).copy()
-    u[..., 0] = 0.0
-    v = _prefix(phi2.c, n).copy()
-    v[..., 0] = 0.0
+    u = phi1.c[..., :n].copy()
+    u.T[0] = 0.0
+    v = phi2.c[..., :n].copy()
+    v.T[0] = 0.0
     # Horner over x-powers of rows that are Horner over y-powers.
-    acc = _compose_row(f.c, k, k, v, table, product, rows)
+    acc = _compose_row(f.c, k, k, v, table, rows)
     for i in range(k - 1, -1, -1):
-        acc = product(acc, u, table) + _compose_row(f.c, i, k, v, table, product, rows)
+        acc = _product(acc, u, table) + _compose_row(f.c, i, k, v, table, rows)
     return _make(k, acc)
 
 
 def _compose_row(c: np.ndarray, i: int, k: int, v: np.ndarray, table: tuple,
-                 product, rows: tuple) -> np.ndarray:
+                 rows: tuple) -> np.ndarray:
     """Horner evaluation of sum_j c_{ij} v^j, as order-k coefficients."""
     jmax = k - i
     acc = np.zeros(rows + (table[1],))
-    acc[..., 0] = c[..., pack_index(i, jmax)]
+    acc.T[0] = c.T[pack_index(i, jmax)]
     for j in range(jmax - 1, -1, -1):
-        acc = product(acc, v, table)
-        acc[..., 0] += c[..., pack_index(i, j)]
+        acc = _product(acc, v, table)
+        acc.T[0] += c.T[pack_index(i, j)]
     return acc

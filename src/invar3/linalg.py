@@ -17,9 +17,12 @@ wrappers' argument checks cost more than the factorization itself.  Each
 coefficient is solved as its own right-hand side, which keeps every
 solution coefficient bit-identical to a one-column ``lu_solve``.
 
-Entries may be batched jets (one row per point).  Each point of a batch is
-then solved on its own with the same LAPACK calls, and a point whose
-system is singular gets NaN rows in the solution and the report.
+Entries may be numbers, one-point jets or batched jets (one row per
+point).  One path serves both ranks: the coefficients are packed as
+(points, entries, ncoef), a one-point system being a batch of one, and
+each point is solved on its own with the same LAPACK calls.  A singular
+point raises :class:`SingularSymbolError` when the system is one point;
+in a batch it gets NaN rows in the solution and the report.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dgesdd, dgetrf, dgetrs
 
 from .errors import ConditioningWarning, SingularSymbolError
-from .jets import Jet2, ncoef
+from .jets import Jet2, _make, ncoef
 
 __all__ = ["solve_jet_system", "JetSolveReport"]
 
@@ -54,24 +57,12 @@ def _common_order(entries) -> int:
     return min(orders) if orders else 0
 
 
-def _coefficients(entries, nc: int) -> np.ndarray | None:
-    """Rows of the first ``nc`` Taylor coefficients; numbers are constants.
-    None when some entry holds a batch."""
-    out = np.zeros((len(entries), nc))
-    for k, e in enumerate(entries):
-        if isinstance(e, Jet2):
-            c = e.c
-            if c.ndim == 2:
-                return None
-            out[k] = c[:nc]
-        else:
-            out[k, 0] = e
-    return out
-
-
-def _batch_coefficients(entries, nc: int) -> np.ndarray:
-    """:func:`_coefficients` of a batch, the entries' axis second."""
-    batch = next(len(e.c) for e in entries if isinstance(e, Jet2) and e.c.ndim == 2)
+def _coefficients(entries, nc: int) -> np.ndarray:
+    """The first ``nc`` Taylor coefficients of every entry at every point,
+    shaped (points, entries, nc); numbers are constants, and one point is a
+    batch of one."""
+    batch = max((len(e.c) for e in entries if isinstance(e, Jet2) and e.c.ndim == 2),
+                default=1)
     out = np.zeros((batch, len(entries), nc))
     for k, e in enumerate(entries):
         if isinstance(e, Jet2):
@@ -108,21 +99,14 @@ def solve_jet_system(M, b, *, cond_warn: float = 1e12,
     numerically singular (NaN rows at the singular points of a batch).
     """
     n = len(b)
-    entries = [e for row in M for e in row]
-    order = min(_common_order(entries), _common_order(b))
+    entries = [e for row in M for e in row] + list(b)
+    order = min(_common_order(entries[:n * n]), _common_order(b))
     nc = ncoef(order)
-    Mc = _coefficients(entries, nc)
-    bc = None if Mc is None else _coefficients(b, nc)
-    if bc is not None:
-        X, det, cond, residual = _solve_point(Mc.reshape(n, n, nc), bc, order,
-                                              cond_warn, singular_message)
-        x = [Jet2._new(order, row) for row in X]
-        return x, JetSolveReport(det=det, cond=cond, residual=residual)
-    # a batch: each point solved on its own
-    system = _batch_coefficients(entries + list(b), nc)
+    system = _coefficients(entries, nc)
     batch = len(system)
     Mc = system[:, :n * n].reshape(batch, n, n, nc)
     bc = system[:, n * n:]
+    point = all(not isinstance(e, Jet2) or e.c.ndim == 1 for e in entries)
     X = np.empty((batch, n, nc))
     det, cond, residual = np.empty(batch), np.empty(batch), np.empty(batch)
     for r in range(batch):
@@ -130,8 +114,12 @@ def solve_jet_system(M, b, *, cond_warn: float = 1e12,
             X[r], det[r], cond[r], residual[r] = _solve_point(
                 Mc[r], bc[r], order, cond_warn, singular_message)
         except SingularSymbolError:
+            if point:
+                raise
             X[r] = det[r] = cond[r] = residual[r] = np.nan
-    x = [Jet2._new(order, X[:, i]) for i in range(n)]
+    if point:  # one-point jets and a report of floats
+        X, det, cond, residual = X[0], float(det[0]), float(cond[0]), float(residual[0])
+    x = [_make(order, X[..., i, :]) for i in range(n)]
     return x, JetSolveReport(det=det, cond=cond, residual=residual)
 
 

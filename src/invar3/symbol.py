@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from . import jets
-from .errors import SingularSymbolError, raise_where
+from .errors import DomainEvalError, SingularSymbolError, raise_where
 from .expr import field_at
 from .jets import Jet2
 
@@ -172,20 +172,20 @@ def classify(sigma: Symbol3, threshold: float = 1e-9) -> Classification:
 
     A batched symbol is classified row by row: ``kind`` then holds one
     :class:`SymbolKind` per row and ``delta`` one value per row, NaN where
-    the normalization fails (a point alone raises there).
+    the fourth power of the scale over- or underflows (a point alone raises
+    a :class:`DomainEvalError` there).
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     delta = value_of(discriminant(sigma))
     scale = max_of(abs(value_of(c)) for c in sigma.components)
-    if isinstance(scale, np.ndarray):
-        with np.errstate(all="ignore"):
-            scale4 = scale ** 4
-            normalized = np.where(scale > 0, delta / scale4, 0.0)
-        # one point raises where scale ** 4 overflows or underflows to zero
-        delta = np.where((scale > 0) & ((scale4 == 0.0) | np.isinf(scale4)), np.nan, delta)
-    else:
-        normalized = delta / scale ** 4 if scale > 0 else 0.0
+    with np.errstate(all="ignore"):
+        scale4 = np.float_power(scale, 4)  # rounds as a float's ** 4
+        normalized = np.where(scale > 0, delta / scale4, 0.0)
+    bad = (scale > 0) & ((scale4 == 0.0) | np.isinf(scale4))
+    delta = raise_where(bad, lambda: DomainEvalError(
+        f"symbol coefficient scale {scale:.6g}: its fourth power "
+        f"{'overflows' if scale > 1 else 'underflows'}"), delta)
     kind = _KINDS[np.where(normalized > threshold, 0, np.where(normalized < -threshold, 1, 2))]
     return Classification(kind=kind, delta=delta, threshold=threshold)
 

@@ -21,8 +21,9 @@ from invar3.equivalence import (DomainGrid, EquivConfig, _candidate_invariants, 
                                 _stage_one, build_natural_model, gauge_transform,
                                 line_bundle_connection, normalize, pushforward_operator,
                                 scale_operator)
-from invar3.errors import (POINT_ERRORS, DomainEvalError, InverseMismatchError,
-                           RegularityError, SingularSymbolError, ZeroCrossingError)
+from invar3.errors import (POINT_ERRORS, ConditioningWarning, DomainEvalError,
+                           InverseMismatchError, RegularityError, SingularSymbolError,
+                           ZeroCrossingError)
 from invar3.expr import eval_jet, field_at, parse
 from invar3.invariants import OperatorInvariants, operator_invariants
 from invar3.jets import Jet2, compose, ncoef
@@ -237,16 +238,44 @@ def test_field_at_takes_numbers_strings_and_callables():
                           [Jet2.variable(x, 1, 2).c for x in xs])
 
 
+class _Number(float):
+    """A number entry of a batched system: the same at every row."""
+
+    def row(self, i):
+        return float(self)
+
+
+class _PointJet(Jet2):
+    """A one-point jet entry of a batched system: the same at every row."""
+
+    __slots__ = ()
+
+    def row(self, i):
+        return Jet2(self.order, self.c)
+
+
 @st.composite
 def jet_system_batches(draw):
+    """A well-posed system of batched jets, where some entries may be
+    numbers or one-point jets (and then the same at every row); the
+    first right-hand side is always batched."""
     n = draw(st.integers(1, 8))
     order = draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     M0 = rng.uniform(-1.0, 1.0, (ROWS, n, n)) + np.eye(n) * rng.uniform(2.0, 4.0, (ROWS, 1, n))
     Mc = rng.uniform(-1.0, 1.0, (ROWS, n, n, ncoef(order)))
     Mc[..., 0] = M0
-    M = [[Jet2(order, Mc[:, r, c]) for c in range(n)] for r in range(n)]
-    b = [Jet2(order, rng.uniform(-2, 2, (ROWS, ncoef(order)))) for _ in range(n)]
+    bc = rng.uniform(-2, 2, (n, ROWS, ncoef(order)))
+    # per entry: 0 batched, 1 one-point jet (row 0 of the batch), 2 number
+    kinds = draw(st.lists(st.integers(0, 2), min_size=n * n + n, max_size=n * n + n))
+    kinds[n * n] = 0
+
+    def entry(c, kind):
+        if kind == 2:
+            return _Number(c[0, 0])
+        return _PointJet(order, c[0]) if kind else Jet2(order, c)
+    M = [[entry(Mc[:, r, c], kinds[r * n + c]) for c in range(n)] for r in range(n)]
+    b = [entry(bc[i], kinds[n * n + i]) for i in range(n)]
     return M, b
 
 
@@ -279,6 +308,25 @@ def test_jet_solve_turns_singular_points_nan():
         xi, ri = solve_jet_system(*system)
         assert all(np.array_equal(got.c[i], want.c) for got, want in zip(x, xi, strict=True))
         assert (report.det[i], report.cond[i], report.residual[i]) == (ri.det, ri.cond, ri.residual)
+
+
+def test_one_point_solve_keeps_its_rank():
+    """A system of numbers and one-point jets is solved as one point: one-point
+    jets and a report of floats, and a singular system raises."""
+    one = Jet2.constant(1.0, 2)
+    x, report = solve_jet_system([[one, 0.5], [0.0, 2.0]], [one, 1.0])
+    assert all(xk.c.shape == (ncoef(2),) for xk in x)
+    assert all(type(v) is float for v in (report.det, report.cond, report.residual))
+    assert (report.det, x[0].value, x[1].value) == (2.0, 0.75, 0.5)
+    with pytest.raises(SingularSymbolError, match="planted"):
+        solve_jet_system([[one, 1.0], [2.0, one * 2.0]], [one, 1.0],
+                         singular_message="planted")
+    # an ill-conditioned point warns at the caller's line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_jet_system([[one, 0.0], [0.0, 1e-13]], [one, one])
+    [warning] = [w for w in caught if issubclass(w.category, ConditioningWarning)]
+    assert warning.filename == __file__
 
 
 def _jets(inv: OperatorInvariants) -> list:

@@ -265,6 +265,9 @@ def run_quietly(tmp_path, capsys, *argv):
     return code, json.loads((tmp_path / "out.json").read_text(), parse_constant=_not_json)
 
 
+EXP_OVERFLOW = "exp overflows: a series coefficient at constant term 800"
+
+
 def test_overflowing_coefficient_masks_split_points(tmp_path, capsys):
     # exp(800 x) overflows a double on the column x = 1
     spec = hyp_variant(tmp_path, "ovf.json", b1="exp(800*x)")
@@ -274,6 +277,8 @@ def test_overflowing_coefficient_masks_split_points(tmp_path, capsys):
     assert doc["outputs"]["masked_points"] == len(masked) == 8
     assert {p["x"] for p in masked} == {1.0}
     assert all(p["reason"] for p in masked)
+    # the reason names the function and the constant term that overflowed
+    assert {p["reason"] for p in masked} == {EXP_OVERFLOW}
     # the invariants overflow from x = 3/7 on: those points are masked with
     # the names of the non-finite values, not written as NaN
     code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "bundle")
@@ -291,9 +296,18 @@ def test_overflowing_symbol_masks_points(tmp_path, capsys):
     code, doc = run_quietly(tmp_path, capsys, "classify", spec)
     assert code == 3
     assert len(doc["outputs"]["domain_errors"]) == 48
+    # from x = 2/7 on, the fourth power of the coefficient scale overflows;
+    # on x = 1, exp itself does
+    reasons = {(round(7 * e["x"]), e["error"]) for e in doc["outputs"]["domain_errors"]}
+    assert {r for k, r in reasons if k == 7} == {EXP_OVERFLOW}
+    scales = [r for k, r in reasons if k < 7]
+    assert sorted({k for k, _ in reasons}) == [2, 3, 4, 5, 6, 7] and len(scales) == 5
+    assert all(r.startswith("symbol coefficient scale ")
+               and r.endswith(": its fourth power overflows") for r in scales)
     code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "symbol")
     assert code == 0
     assert 0 < doc["outputs"]["masked_points"] < 64
+    assert {p["reason"] for p in doc["outputs"]["points"] if p["x"] == 1.0} == {EXP_OVERFLOW}
     code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "conformal")
     assert code == 2
     assert doc["outputs"]["regular_points"] == 0

@@ -35,15 +35,27 @@ def coeff_arrays(order):
 
 
 @st.composite
-def jet_pairs(draw):
-    ka = draw(st.integers(0, 5))
-    kb = draw(st.integers(0, 5))
-    return Jet2(ka, draw(coeff_arrays(ka))), Jet2(kb, draw(coeff_arrays(kb)))
+def jet_pairs(draw, rows=False):
+    """Two jets of orders 0-5 at one point; with ``rows``, either or both
+    may instead hold a batch of 1-4 points (one count for both)."""
+    n = draw(st.integers(1, 4))
+
+    def jet():
+        k = draw(st.integers(0, 5))
+        c = draw(st.lists(coeff_arrays(k), min_size=n, max_size=n).map(np.array))
+        return Jet2(k, c if rows and draw(st.booleans()) else c[0])
+    return jet(), jet()
 
 
 def reference_product(a: Jet2, b: Jet2) -> np.ndarray:
     """The truncated convolution, summed term by term in lexicographic order
-    of the left factor's exponents (the order the packed tables use)."""
+    of the left factor's exponents (the order the packed tables use); row by
+    row where either jet holds a batch (a one-point jet meets every row)."""
+    if a.c.ndim + b.c.ndim > 2:
+        n = max(len(j.c) for j in (a, b) if j.c.ndim == 2)
+        rows = [[Jet2(j.order, c) for c in (j.c if j.c.ndim == 2 else [j.c] * n)]
+                for j in (a, b)]
+        return np.array([reference_product(x, y) for x, y in zip(*rows)])
     k = min(a.order, b.order)
     out = [0.0] * ncoef(k)
     for p in range(k + 1):
@@ -55,7 +67,7 @@ def reference_product(a: Jet2, b: Jet2) -> np.ndarray:
     return np.array(out)
 
 
-@given(jet_pairs())
+@given(jet_pairs(rows=True))
 def test_product_is_the_plain_convolution(pair):
     a, b = pair
     prod = a * b
