@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .errors import JetOrderError, SingularSymbolError
+from .errors import JetOrderError
 from .jets import Jet2
 from .linalg import solve_jet_system
-from .symbol import Symbol3, discriminant, max_of, norm_of, value_of
+from .symbol import Symbol3, max_of, norm_of, value_of
 
 __all__ = [
     "AffineConnection", "OneForm", "TwoForm", "TorsionTensor", "GroupType",
@@ -219,10 +219,7 @@ def wagner_connection(sigma: Symbol3) -> AffineConnection:
     """
     _check_point_orders(sigma, 1)
     M, rhs = parallel_system(sigma)
-    try:
-        x, _ = solve_jet_system(M, rhs)
-    except SingularSymbolError as err:
-        raise SingularSymbolError("parallel connection: " + _sing(sigma)) from err
+    x, _ = solve_jet_system(M, rhs, singular_message="parallel connection")
     g111, g121, g211, g221, g112, g122, g212, g222 = x
     return AffineConnection.from_entries(g111, g112, g121, g122,
                                          g211, g212, g221, g222, symmetric=False)
@@ -259,20 +256,11 @@ def chern_connection(sigma: Symbol3) -> tuple[AffineConnection, OneForm]:
     class, together with the conformal factor 1-form omega."""
     _check_point_orders(sigma, 1)
     M, rhs = conformal_system(sigma)
-    try:
-        x, _ = solve_jet_system(M, rhs)
-    except SingularSymbolError as err:
-        raise SingularSymbolError("conformal connection: " + _sing(sigma)) from err
+    x, _ = solve_jet_system(M, rhs, singular_message="conformal connection")
     g111, g112, g122, g211, g212, g222, w1, w2 = x
     gamma = AffineConnection.from_entries(g111, g112, g112, g122,
                                           g211, g212, g212, g222, symmetric=True)
     return gamma, OneForm(w1, w2)
-
-
-def _sing(sigma: Symbol3) -> str:
-    # built only when a solve fails: the discriminant costs a few dozen
-    # jet products
-    return f"discriminant {value_of(discriminant(sigma)):.3g} at this point"
 
 
 def _check_point_orders(sigma: Symbol3, minimum: int) -> None:

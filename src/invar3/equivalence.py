@@ -29,9 +29,9 @@ from .errors import (POINT_ERRORS, DomainEvalError, GeneralPositionError,
                      InverseMismatchError, NonPositiveScaleError, RegularityError,
                      ZeroCrossingError, masked, raise_where)
 from .expr import BatchField, Expr, coefficient_field, field_at
-from .invariants import (conformal_frame_data, decompose_cubic,
+from .invariants import (_per_point, _rows, conformal_frame_data, decompose_cubic,
                          symbol_coframe_point)
-from .jets import Jet2, as_jet, compose, real_power
+from .jets import Jet2, as_jet, compose, real_power, stack
 from .jets import asinh as jet_asinh
 from .linalg import solve_jet_system
 # quantize_sum is re-exported: callers have long imported it from here
@@ -183,29 +183,20 @@ class _PointMemo:
     hit never changes a result.  A batch is one key: another batch, or one
     of its points, misses.  The memo holds at most ``limit`` keys and
     empties itself when full.
-
-    ``rows(xs, ys, order)``, where given, computes a batch of points for
-    :meth:`serve`: per point its value, or None where its row failed or is
-    not finite.
     """
 
-    __slots__ = ("_compute", "_store", "_limit", "_rows")
+    __slots__ = ("_compute", "_store", "_limit")
 
-    def __init__(self, compute: Callable, limit: int = 4096, rows: Callable | None = None):
+    def __init__(self, compute: Callable, limit: int = 4096):
         self._compute = compute
         self._store: dict = {}
         self._limit = limit
-        self._rows = rows
 
     def __call__(self, x, y, order: int):
-        key = _memo_key(x, y)
-        hit = self._store.get(key)
-        if hit is not None and hit[0] >= order:
-            return hit[1]
-        value = self._compute(x, y, order)
-        if len(self._store) >= self._limit:
-            self._store.clear()
-        self._store[key] = (order, value)
+        value = self.peek(x, y, order)
+        if value is None:
+            value = self._compute(x, y, order)
+            self.put(x, y, order, value)
         return value
 
     def peek(self, x, y, order: int):
@@ -213,38 +204,29 @@ class _PointMemo:
         hit = self._store.get(_memo_key(x, y))
         return hit[1] if hit is not None and hit[0] >= order else None
 
-    def put(self, x: float, y: float, order: int, value) -> None:
+    def put(self, x, y, order: int, value) -> None:
         if len(self._store) >= self._limit:
             self._store.clear()
-        self._store[(x, y)] = (order, value)
+        self._store[_memo_key(x, y)] = (order, value)
 
     def serve(self, xs, ys, order: int) -> list:
         """Per point, the value at ``order``, or the error the point raises
         alone.
 
         Hits are served from the memo.  The distinct missing points are
-        computed as one batch by ``rows``, and each row is stored under its
-        own point, so that a later read of the point hits.  A point whose
-        row failed (every missing point, when the batch raises as a whole)
-        is computed alone, so that it gets exactly its one-point value or
-        error; so is a single missing point, which costs less alone than
-        as a batch of one.
+        computed together by :func:`invariants._per_point`, and each value
+        is stored under its own point, so that a later read of the point
+        hits.
         """
         found = {}
         for p in zip(xs, ys):
             if p not in found:
                 found[p] = self.peek(*p, order)
         misses = [p for p, v in found.items() if v is None]
-        rows = [None] * len(misses)
-        if len(misses) > 1:
-            try:
-                rows = self._rows([p[0] for p in misses], [p[1] for p in misses], order)
-            except POINT_ERRORS:
-                pass  # the batch fails as a whole: each point alone
-        for p, v in zip(misses, rows):
-            if v is None:
-                [v] = masked(lambda x, y: self(x, y, order), [p])
-            else:
+        values = _per_point(lambda x, y: self._compute(x, y, order),
+                            [p[0] for p in misses], [p[1] for p in misses])
+        for p, v in zip(misses, values):
+            if not isinstance(v, Exception):
                 self.put(*p, order, v)
             found[p] = v
         return [found[p] for p in zip(xs, ys)]
@@ -290,20 +272,19 @@ def _check_mutual_inverse(phi, phi_inv, window: DomainGrid, tol: float = 1e-10):
            for y in np.linspace(window.y0, window.y1, 5)]
     scale = max(abs(window.x0), abs(window.x1), abs(window.y0), abs(window.y1), 1.0)
 
-    def residuals(x, y):
+    def residual(x, y):
         px = field_at(bwd[0], x, y, 0).value
         py = field_at(bwd[1], x, y, 0).value
-        return field_at(fwd[0], px, py, 0).value - x, field_at(fwd[1], px, py, 0).value - y
+        return {"residual": np.maximum(abs(field_at(fwd[0], px, py, 0).value - x),
+                                       abs(field_at(fwd[1], px, py, 0).value - y))}
 
-    # one batch for all samples; a sample that is not finite there is
-    # evaluated alone, in order, so it raises what it raises alone
-    for (x, y), rx, ry in zip(pts, *residuals(*np.array(pts).T)):
-        if not (math.isfinite(rx) and math.isfinite(ry)):
-            rx, ry = residuals(x, y)
-        if max(abs(rx), abs(ry)) > tol * scale:
-            raise InverseMismatchError(
-                f"maps are not mutually inverse at ({x:.3g}, {y:.3g}): "
-                f"residual {max(abs(rx), abs(ry)):.3g}")
+    # the first sample, in order, that fails alone or does not map back
+    for (x, y), res in zip(pts, _per_point(residual, *zip(*pts))):
+        if isinstance(res, Exception):
+            raise res
+        if res["residual"] > tol * scale:
+            raise InverseMismatchError(f"maps are not mutually inverse at ({x:.3g}, {y:.3g}): "
+                                       f"residual {res['residual']:.3g}")
 
 
 def _chain_rule_trackers(phi_jets: tuple[Jet2, Jet2], depth: int) -> dict:
@@ -456,10 +437,12 @@ def gauge_transform(op: Operator3, h, window: DomainGrid | None = None,
     if window is not None:
         signs = set()
         pts = DomainGrid(window.x0, window.x1, window.y0, window.y1, 8, 8).points()
-        batch = field_at(hf, [p[0] for p in pts], [p[1] for p in pts], 0).value.tolist()
-        for (x, y), v in zip(pts, batch):
-            if not math.isfinite(v):
-                v = field_at(hf, x, y, 0).value  # raises what the point raises alone
+        # the first sample, in order, that fails alone or nearly vanishes
+        for (x, y), v in zip(pts, _per_point(
+                lambda x, y: {"multiplier": field_at(hf, x, y, 0).value}, *zip(*pts))):
+            if isinstance(v, Exception):
+                raise v
+            v = v["multiplier"]
             if abs(v) < floor:
                 raise ZeroCrossingError(f"multiplier vanishes near ({x:.3g}, {y:.3g})")
             signs.add(v > 0)
@@ -547,7 +530,7 @@ def _line_bundle_solve(opp: Operator3, chern: AffineConnection | None) -> tuple[
         [3 * a3, 3 * a4, g.g22],
     ]
     rhs = [sub0[0], 2 * sub0[1], sub0[2]]
-    x, report = solve_jet_system(M, rhs, singular_message="line-bundle connection: singular symbol")
+    x, report = solve_jet_system(M, rhs, singular_message="line-bundle connection")
     # substitution check against the defining relation
     res = 0.0
     for row, b in zip(M, rhs):
@@ -649,9 +632,7 @@ def _stage_one(op_field: Operator3, grid: DomainGrid, order: int = 1) -> _StageO
         return cands, _duals(frame)
 
     try:
-        cands, duals = candidates([p[0] for p in pts], [p[1] for p in pts])
-        seeds = [(tuple(c.row(k) for c in cands), tuple(d))
-                 for k, d in enumerate(np.column_stack(duals).tolist())]
+        seeds = _rows(candidates([p[0] for p in pts], [p[1] for p in pts]), len(pts))
     except POINT_ERRORS:  # a batch that fails as a whole: each point alone
         seeds = masked(candidates, pts)
     values = np.full((len(pts), 4), np.nan)
@@ -749,14 +730,7 @@ def _chart_memo(op_field: Operator3, selection: tuple[int, int]) -> _PointMemo:
                                                 which=selection)
         return ci, cj, _duals(frame)
 
-    def rows(xs, ys, order: int) -> list:
-        ci, cj, duals = compute(xs, ys, order)
-        duals = np.column_stack(duals)
-        finite = np.isfinite(np.hstack([ci.c, cj.c, duals])).all(axis=1)
-        return [(ci.row(k), cj.row(k), tuple(d)) if ok else None
-                for k, (ok, d) in enumerate(zip(finite.tolist(), duals.tolist()))]
-
-    return _PointMemo(compute, limit=8192, rows=rows)
+    return _PointMemo(compute, limit=8192)
 
 
 def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
@@ -778,12 +752,12 @@ def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
     if mode == "scalar":
         field_names = list(_SCALAR_FIELDS)
 
-        def fields_at(x, y):
-            if not isinstance(x, (int, float, np.number)):
-                charts.serve(x, y, 3)  # the chart jets of all the points in one batch
-                return masked(fields_at, zip(x, y))
-            I1, I2, _ = charts(x, y, 3)
-            I1, I2 = as_jet(I1, 3), as_jet(I2, 3)
+        def scalar_fields(x, y):
+            if isinstance(x, (int, float, np.number)):
+                I1, I2 = (as_jet(v, 3) for v in charts(x, y, 3)[:2])
+            else:  # stacked from the chart jets that fields_at has just served
+                points = [charts(px, py, 3) for px, py in zip(x, y)]
+                I1, I2 = (stack([as_jet(p[k], 3) for p in points]) for k in (0, 1))
             opp = op_field.at(x, y, 0)
             # the operator applied to each chart monomial I1^a I2^b
             powers1 = [I1 ** a for a in range(4)]
@@ -799,20 +773,26 @@ def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
                 out[f"J_{a}{b}"] = total
             return out
 
+        def fields_at(x, y):
+            if isinstance(x, (int, float, np.number)):
+                return scalar_fields(x, y)
+            out = charts.serve(x, y, 3)  # the chart jets of all the points in one batch
+            ok = [k for k, v in enumerate(out) if not isinstance(v, Exception)]
+            for k, v in zip(ok, _per_point(scalar_fields, [x[k] for k in ok], [y[k] for k in ok])):
+                out[k] = v
+            return out
+
         connection_at = None
     else:
-        from .invariants import operator_invariants
+        from .invariants import _operator_invariants
 
         field_names = list(_BUNDLE_FIELDS)
         # per point: the fields, and the connection form's two components
         # with the density of its exterior derivative; the obstruction
         # report reads the latter at the matched points, whose fields were
         # compared before
-        records = _PointMemo(
-            lambda x, y, _order: _bundle_record(operator_invariants(op_field, x, y, mode="bundle")),
-            rows=lambda xs, ys, _order: [
-                None if isinstance(inv, Exception) else _bundle_record(inv)
-                for inv in operator_invariants(op_field, xs, ys, mode="bundle")])
+        records = _PointMemo(lambda x, y, _order: _bundle_record(
+            _operator_invariants(op_field, x, y, "bundle")))
         fields_at = _reader(records, 0, lambda record: record[0])
         connection_at = _reader(records, 0, lambda record: record[1])
 
@@ -1132,12 +1112,11 @@ def _compare_models(model_a: NaturalModel, model_b: NaturalModel, tol: float,
             stride = int(np.ceil(len(idxs) / budget))
             idxs = idxs[::stride]
         jacs = owner.chart.jacobians[owner.chart.mask]
+        own = [tuple(p) for p in pts[idxs].tolist()]
+        sigs = owner.signature_at([p[0] for p in own], [p[1] for p in own])
         targets, searches = [], []
-        for k in idxs:
-            x_own = (float(pts[k][0]), float(pts[k][1]))
-            try:
-                sig_own = owner.signature_at(*x_own)
-            except POINT_ERRORS:
+        for k, x_own, sig_own in zip(idxs, own, sigs):
+            if isinstance(sig_own, Exception):
                 continue
             considered += 1
             ja = jacs[k]
@@ -1198,9 +1177,12 @@ def _obstruction_report(model_a: NaturalModel, model_b: NaturalModel,
     coords = []
     diffs = []
     curvature_residual = 0.0
-    for (t, xa, xb) in matched:
-        ua = _connection_in_chart(model_a, xa)
-        ub = _connection_in_chart(model_b, xb)
+    readings = []
+    for model, k in ((model_a, 1), (model_b, 2)):
+        xs, ys = [m[k][0] for m in matched], [m[k][1] for m in matched]
+        readings.append([_connection_in_chart(*read) for read in
+                         zip(model.connection_at(xs, ys), model.coords_jac(xs, ys))])
+    for (t, _, _), ua, ub in zip(matched, *readings):
         if ua is None or ub is None:
             continue
         coords.append(t)
@@ -1249,16 +1231,13 @@ def _obstruction_report(model_a: NaturalModel, model_b: NaturalModel,
     return report
 
 
-def _connection_in_chart(model: NaturalModel, xy) -> tuple[float, float, float] | None:
+def _connection_in_chart(connection, chart) -> tuple[float, float, float] | None:
     """Connection-form components in the dI basis plus the exterior
-    derivative's density in natural coordinates, at one point."""
-    if model.connection_at is None:
+    derivative's density in natural coordinates, from a point's reads of
+    the connection and the chart; None where either failed."""
+    if isinstance(connection, Exception) or isinstance(chart, Exception):
         return None
-    try:
-        t1, t2, curv = model.connection_at(*xy)
-        _, J = model.coords_jac(*xy)
-    except POINT_ERRORS:
-        return None
+    (t1, t2, curv), (_, J) = connection, chart
     det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
     if abs(det) < 1e-300:
         return None

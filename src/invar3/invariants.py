@@ -31,7 +31,7 @@ its rows to NaN instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from typing import Any, Callable
 
@@ -316,7 +316,7 @@ def conformal_frame_data(symbol_field: Symbol3, x: float, y: float, *,
     :class:`RegularityError` itemizing which condition failed: singular
     symbol, vanishing curvature form, degenerate quadratic form, or a
     null covector.  On batched jets a failed check turns its points' rows
-    to NaN instead.
+    to NaN instead, in every field of the result.
     """
     m = 4 + extra_order
     sp = symbol_field.at(x, y, m)
@@ -344,8 +344,30 @@ def conformal_frame_data(symbol_field: Symbol3, x: float, y: float, *,
                              null_name="covector is null for the quadratic form",
                              zero_name="covector vanishes",
                              diagnostics=diagnostics)
-    return ConformalFrameData(coframe=coframe, symbol=sp, gamma=gamma, omega=omega,
+    data = ConformalFrameData(coframe=coframe, symbol=sp, gamma=gamma, omega=omega,
                               curvature_form=big_omega, theta=theta, quadratic=quad)
+    # every failed check leaves a coframe value NaN on its row; there the
+    # whole pipeline is NaN, not only what the check fed
+    entries = (*coframe.theta.components, *coframe.theta_prime.components, *coframe.d1, *coframe.d2)
+    failed = ~np.isfinite([value_of(c) for c in entries]).all(axis=0)
+    if np.ndim(failed) and failed.any():
+        data = _times(data, np.where(failed, np.nan, 1.0))
+    return data
+
+
+def _times(value, fill: np.ndarray):
+    """``value`` with every jet, array and float in it, through dataclasses,
+    dicts and tuples, multiplied by the per-row ``fill``; labels stay."""
+    if isinstance(value, (Jet2, np.ndarray, float)):
+        return value * fill
+    if isinstance(value, tuple):
+        return tuple(_times(v, fill) for v in value)
+    if isinstance(value, dict):
+        return {k: _times(v, fill) for k, v in value.items()}
+    if is_dataclass(value):
+        return replace(value, **{f.name: _times(getattr(value, f.name), fill)
+                                 for f in fields(value)})
+    return value
 
 
 def conformal_coframe(symbol_field: Symbol3, x: float, y: float, *,
@@ -404,8 +426,7 @@ def operator_invariants(op_field: Operator3, x, y, *,
     """
     if isinstance(x, (int, float)):
         return _operator_invariants(op_field, x, y, mode, rel_tol)
-    return _per_point(lambda px, py: _operator_invariants(op_field, px, py, mode, rel_tol),
-                      list(x), list(y))
+    return _per_point(lambda px, py: _operator_invariants(op_field, px, py, mode, rel_tol), x, y)
 
 
 @np.errstate(all="ignore")
@@ -418,21 +439,22 @@ def _per_point(compute: Callable, xs, ys) -> list:
     dict of them, such as :class:`OperatorInvariants`) or raises the error
     that masks the point; at sequences of points it returns the same
     structure with arrays or batched jets in place of the numbers.  Rows
-    that are not all finite (every point that failed a check among them)
-    are computed alone, so each point gets exactly its one-point result or
-    error; a one-point result that is still not finite is masked, naming
-    its non-finite values.  A batch that fails as a whole leaves every
-    point to be computed alone.  No points give an empty list.
+    that are not all finite, jets included (every point that failed a
+    check among them), are computed alone, so each point gets exactly its
+    one-point result or error; a one-point result that is still not finite
+    is masked, naming its non-finite values.  A batch that fails as a whole
+    leaves every point to be computed alone; so does a single point, which
+    costs less alone than as a batch of one.  No points give an empty list.
     """
     xs, ys = list(xs), list(ys)
-    if not xs:
-        return []
-    try:
-        batch = compute(xs, ys)
-        alone = np.flatnonzero(_non_finite_rows(batch, len(xs))).tolist()
-        out = _rows(batch, len(xs))
-    except POINT_ERRORS:
-        alone, out = list(range(len(xs))), [None] * len(xs)
+    alone, out = list(range(len(xs))), [None] * len(xs)
+    if len(xs) > 1:
+        try:
+            batch = compute(xs, ys)
+            alone = np.flatnonzero(_non_finite_rows(batch, len(xs))).tolist()
+            out = _rows(batch, len(xs))
+        except POINT_ERRORS:
+            pass  # the batch fails as a whole: each point alone
     for k, res in zip(alone, masked(compute, [(xs[k], ys[k]) for k in alone])):
         bad = [] if isinstance(res, Exception) else _non_finite(res)
         out[k] = DomainEvalError(f"non-finite {', '.join(bad)}") if bad else res
@@ -459,19 +481,21 @@ def _rows(batch, n: int) -> list:
 def _non_finite_rows(batch, n: int) -> np.ndarray:
     """Where :func:`_non_finite` finds a value in the rows that
     :func:`_rows` splits the batch result into: one ``np.isfinite`` per
-    float array."""
+    float array or batched jet."""
     if callable(getattr(batch, "flat", None)):
         batch = batch.flat()
     if isinstance(batch, dict):
         batch = list(batch.values())
     if isinstance(batch, (list, tuple)):
         return reduce(np.logical_or, [_non_finite_rows(v, n) for v in batch], np.zeros(n, bool))
+    if isinstance(batch, Jet2):
+        batch = batch.c
     if isinstance(batch, np.ndarray):  # labels (an object array) are never flagged
         return (~np.isfinite(batch.reshape(n, -1)).all(axis=1) if batch.dtype.kind == "f"
                 else np.zeros(n, bool))
     if isinstance(batch, float):
         return np.full(n, not math.isfinite(batch))
-    if hasattr(batch, "row") and not isinstance(batch, Jet2):  # an opaque batch
+    if hasattr(batch, "row"):  # an opaque batch
         return np.array([bool(_non_finite(batch.row(i))) for i in range(n)], dtype=bool)
     return np.zeros(n, bool)
 
@@ -484,13 +508,15 @@ def _non_finite(result, name: str = "") -> list:
         named = [(f"{name}.{k}" if name else k, v) for k, v in result.items()]
     elif isinstance(result, (list, tuple)):
         named = [(f"{name}[{k}]", v) for k, v in enumerate(result)]
+    elif isinstance(result, Jet2):
+        return [] if result.is_finite() else [name]
     else:  # a number, or a label such as a symbol kind
         return [name] if isinstance(result, float) and not math.isfinite(result) else []
     return sorted(bad for key, v in named for bad in _non_finite(v, key))
 
 
 def _operator_invariants(op_field: Operator3, x, y, mode: str,
-                         rel_tol: float) -> OperatorInvariants:
+                         rel_tol: float = 1e-9) -> OperatorInvariants:
     from .equivalence import _line_bundle_solve  # cycle-free at call time
 
     sym_field = Symbol3(*(c for c in op_field.components[:4]))

@@ -96,7 +96,9 @@ def solve_jet_system(M, b, *, cond_warn: float = 1e12,
     truncation order of the inputs.  Emits :class:`ConditioningWarning`
     when the constant-term matrix has condition number above
     ``cond_warn``; raises :class:`SingularSymbolError` when it is
-    numerically singular (NaN rows at the singular points of a batch).
+    numerically singular (NaN rows at the singular points of a batch): its
+    message is ``singular_message`` followed by the check that failed, a
+    factorization that is not finite or a condition number above 1e15.
     """
     n = len(b)
     entries = [e for row in M for e in row] + list(b)
@@ -131,14 +133,14 @@ def _solve_point(Mc: np.ndarray, bc: np.ndarray, order: int, cond_warn: float,
     M0 = Mc[:, :, 0]
     lu, piv, info = dgetrf(M0)
     if info < 0 or not np.isfinite(lu).all():
-        raise SingularSymbolError(singular_message)
+        raise SingularSymbolError(f"{singular_message}: LU factorization is not finite")
     interchanges = np.count_nonzero(piv != np.arange(n))
     det = float(lu.diagonal().prod()) * (-1.0 if interchanges % 2 else 1.0)
     s = dgesdd(M0, compute_uv=0)[1]
     s_max, s_min = float(s[0]), float(s[-1])
     cond = s_max / s_min if s_min > 0.0 else math.inf
     if not math.isfinite(cond) or cond > 1e15:
-        raise SingularSymbolError(singular_message)
+        raise SingularSymbolError(f"{singular_message}: condition number {cond:.3g} above 1e15")
     if cond > cond_warn:
         warnings.warn(f"condition number {cond:.3g} exceeds {cond_warn:.1g}",
                       ConditioningWarning, stacklevel=3)

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, document shape, determinism."""
 
 import json
+import re
 import warnings
 
 import pytest
@@ -317,6 +318,19 @@ def test_overflowing_symbol_masks_points(tmp_path, capsys):
     code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "bundle")
     assert code == 2
     assert doc["outputs"]["regular_points"] == 0
+
+
+def test_a_failed_connection_solve_names_its_check(tmp_path, capsys):
+    spec = hyp_variant(tmp_path, "ovf.json", a2="exp(800*x) / 3")
+    code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "symbol")
+    assert code == 0
+    # short of x = 1 the coefficients are finite, but so far apart that the
+    # parallel solve's condition number passes its bound (or overflows)
+    reasons = {p["reason"] for p in doc["outputs"]["points"]
+               if not p["regular"] and p["x"] < 1.0}
+    assert reasons and all(re.fullmatch(r"parallel connection: condition number \S+ above 1e15", r)
+                           for r in reasons)
+    assert "parallel connection: condition number inf above 1e15" in reasons
 
 
 def test_regularity_tolerance_is_applied(tmp_path):

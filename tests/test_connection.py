@@ -21,6 +21,8 @@ satisfies omega = -3 theta identically, and on the one-real-root family
 theta equals V dx + U dy - d(ln s)/6 verbatim.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -527,3 +529,16 @@ def test_conditioning_warning_near_singular_symbol():
         except SingularSymbolError:
             pytest.skip("fell below the singularity floor on this arithmetic")
     assert any(issubclass(w.category, ConditioningWarning) for w in caught)
+
+
+def test_a_failed_solve_names_its_check():
+    with pytest.raises(SingularSymbolError, match=r"^m: LU factorization is not finite$"):
+        solve_jet_system([[math.inf, 0.0], [0.0, 1.0]], [1.0, 1.0], singular_message="m")
+    with pytest.raises(SingularSymbolError, match=r"^m: condition number \S+ above 1e15$"):
+        solve_jet_system([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0], singular_message="m")
+    # the connections name themselves and the check, not the discriminant
+    sym = Symbol3(1.0 + 0.0 * X, 0.0 * X, 0.0 * X, 0.0 * X)
+    for solve, name in ((wagner_connection, "parallel"), (chern_connection, "conformal")):
+        with pytest.raises(SingularSymbolError,
+                           match=rf"^{name} connection: condition number \S+ above 1e15$"):
+            solve(sym.at(0.5, 0.5, 1))
