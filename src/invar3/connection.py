@@ -197,8 +197,7 @@ def parallel_system(sigma: Symbol3):
     G^2_12, G^2_22) -- the x-direction block then the y-direction block.
     The determinant of the assembled matrix is 81 * discriminant^2.
     """
-    zero = 0.0
-    M = [[zero] * 8 for _ in range(8)]
+    M = [[0.0] * 8 for _ in range(8)]
     for r, weights in enumerate(_nabla_sigma_weights(sigma.components)):
         for (k, i), weight in weights:
             c = 2 * (k - 1) + (i - 1)
@@ -233,7 +232,6 @@ def conformal_system(sigma: Symbol3):
     (122), (222), then the y-direction ones.
     """
     s = sigma.components
-    zero = 0.0
     patterns = _nabla_sigma_weights(s)
     sym_col = {(1, 1, 1): 0, (1, 1, 2): 1, (1, 2, 1): 1, (1, 2, 2): 2,
                (2, 1, 1): 3, (2, 1, 2): 4, (2, 2, 1): 4, (2, 2, 2): 5}
@@ -241,7 +239,7 @@ def conformal_system(sigma: Symbol3):
     for l in (1, 2):
         d = [(c.dx() if l == 1 else c.dy()) for c in sigma.components]
         for comp in range(4):
-            row = [zero] * 8
+            row = [0.0] * 8
             for (k, i), weight in patterns[comp]:
                 col = sym_col[(k, i, l)]
                 row[col] = row[col] + weight

@@ -531,12 +531,7 @@ def _line_bundle_solve(opp: Operator3, chern: AffineConnection | None) -> tuple[
     ]
     rhs = [sub0[0], 2 * sub0[1], sub0[2]]
     x, report = solve_jet_system(M, rhs, singular_message="line-bundle connection")
-    # substitution check against the defining relation
-    res = 0.0
-    for row, b in zip(M, rhs):
-        lhs = row[0] * x[0] + row[1] * x[1] + row[2] * x[2] - b
-        res = max_of((res, abs(value_of(lhs))))
-    scale = max_of((1.0, opp.norm()))
+    res, scale = report.residual, max_of((1.0, opp.norm()))  # res: |M x - b| at the point
     t1, t2, lam = raise_where(res > 1e-10 * scale * max_of((1.0, report.cond)),
                               lambda: RegularityError("line-bundle connection residual too large",
                                                       [f"residual {res:.3g}"]), tuple(x))

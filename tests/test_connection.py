@@ -536,9 +536,12 @@ def test_a_failed_solve_names_its_check():
         solve_jet_system([[math.inf, 0.0], [0.0, 1.0]], [1.0, 1.0], singular_message="m")
     with pytest.raises(SingularSymbolError, match=r"^m: condition number \S+ above 1e15$"):
         solve_jet_system([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0], singular_message="m")
-    # the connections name themselves and the check, not the discriminant
+    # the connections name themselves and the check, not the discriminant; an
+    # exactly singular matrix says so, with its largest singular value
     sym = Symbol3(1.0 + 0.0 * X, 0.0 * X, 0.0 * X, 0.0 * X)
-    for solve, name in ((wagner_connection, "parallel"), (chern_connection, "conformal")):
+    for solve, name, largest in ((wagner_connection, "parallel", "3"),
+                                 (chern_connection, "conformal", "3.16")):
         with pytest.raises(SingularSymbolError,
-                           match=rf"^{name} connection: condition number \S+ above 1e15$"):
+                           match=rf"^{name} connection: condition number inf above 1e15 "
+                                 rf"\(smallest singular value 0, largest {largest}\)$"):
             solve(sym.at(0.5, 0.5, 1))
