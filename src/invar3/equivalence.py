@@ -25,13 +25,13 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .connection import AffineConnection, OneForm, exterior_derivative
-from .errors import (POINT_ERRORS, DomainEvalError, GeneralPositionError,
-                     InverseMismatchError, NonPositiveScaleError, RegularityError,
-                     ZeroCrossingError, masked, raise_where)
+from .errors import (DomainEvalError, GeneralPositionError, InverseMismatchError,
+                     NonPositiveScaleError, RegularityError, ZeroCrossingError,
+                     raise_where)
 from .expr import BatchField, Expr, coefficient_field, field_at
 from .invariants import (_per_point, _rows, conformal_frame_data, decompose_cubic,
                          symbol_coframe_point)
-from .jets import Jet2, as_jet, compose, real_power, stack
+from .jets import Jet2, as_jet, compose, real_power
 from .jets import asinh as jet_asinh
 from .linalg import solve_jet_system
 # quantize_sum is re-exported: callers have long imported it from here
@@ -614,8 +614,9 @@ def _stage_one(op_field: Operator3, grid: DomainGrid, order: int = 1) -> _StageO
     """Candidate invariant values and gradients at every grid point.
 
     The candidates are computed in one batched pass over the grid, at the
-    jet order the model will read (``order``).  A point is regular when
-    they can be computed there and their values and gradients are finite.
+    jet order the model will read (``order``); a point that fails a check
+    there is a NaN row, as a batch never raises for one point.  A point is
+    regular when its values and gradients are finite.
     Model assembly reads its chart data from the arrays, and seeds its
     chart memo from the rows of the jets.
     """
@@ -626,16 +627,9 @@ def _stage_one(op_field: Operator3, grid: DomainGrid, order: int = 1) -> _StageO
         cands, frame = _candidate_invariants(sym_field, x, y, order, with_frame=True)
         return cands, _duals(frame)
 
-    try:
-        seeds = _rows(candidates([p[0] for p in pts], [p[1] for p in pts]), len(pts))
-    except POINT_ERRORS:  # a batch that fails as a whole: each point alone
-        seeds = masked(candidates, pts)
-    values = np.full((len(pts), 4), np.nan)
-    grads = np.full((len(pts), 4, 2), np.nan)
-    for k, seed in enumerate(seeds):
-        if not isinstance(seed, Exception):
-            values[k] = [c.value for c in seed[0]]
-            grads[k] = [[c.partial(1, 0), c.partial(0, 1)] for c in seed[0]]
+    seeds = _rows(candidates([p[0] for p in pts], [p[1] for p in pts]), len(pts))
+    values = np.array([[c.value for c in cands] for cands, _ in seeds])
+    grads = np.array([[[c.partial(1, 0), c.partial(0, 1)] for c in cands] for cands, _ in seeds])
     regular = np.isfinite(values).all(axis=1) & np.isfinite(grads).all(axis=(1, 2))
     values[~regular] = grads[~regular] = np.nan
     return _StageOne(np.array(pts), values, grads,
@@ -747,12 +741,8 @@ def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
     if mode == "scalar":
         field_names = list(_SCALAR_FIELDS)
 
-        def scalar_fields(x, y):
-            if isinstance(x, (int, float, np.number)):
-                I1, I2 = (as_jet(v, 3) for v in charts(x, y, 3)[:2])
-            else:  # stacked from the chart jets that fields_at has just served
-                points = [charts(px, py, 3) for px, py in zip(x, y)]
-                I1, I2 = (stack([as_jet(p[k], 3) for p in points]) for k in (0, 1))
+        def scalar_fields(x, y, _order):
+            I1, I2 = (as_jet(v, 3) for v in charts(x, y, 3)[:2])
             opp = op_field.at(x, y, 0)
             # the operator applied to each chart monomial I1^a I2^b
             powers1 = [I1 ** a for a in range(4)]
@@ -768,15 +758,7 @@ def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
                 out[f"J_{a}{b}"] = total
             return out
 
-        def fields_at(x, y):
-            if isinstance(x, (int, float, np.number)):
-                return scalar_fields(x, y)
-            out = charts.serve(x, y, 3)  # the chart jets of all the points in one batch
-            ok = [k for k, v in enumerate(out) if not isinstance(v, Exception)]
-            for k, v in zip(ok, _per_point(scalar_fields, [x[k] for k in ok], [y[k] for k in ok])):
-                out[k] = v
-            return out
-
+        fields_at = _reader(_PointMemo(scalar_fields), 0, lambda fields: fields)
         connection_at = None
     else:
         from .invariants import _operator_invariants

@@ -393,28 +393,26 @@ def eval_jet(e: Expr, p: tuple, order: int = 5) -> Jet2:
     node then runs once on batched jets, one row per point.  A row is the
     point's jet bit for bit, or NaN: NaN wherever the point alone raises,
     and where a zeroth power turns a NaN base into 1 at the point alone.
-    A batch that raises as a whole (an overflow in a series coefficient, a
-    constant zero divisor) is evaluated point by point instead.
+    A batch never raises for one point: what still raises on batched jets
+    does not depend on the point (a constant zero divisor) and turns every
+    row to NaN; :func:`invariants._per_point` computes such points alone.
     """
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression node: {e!r}")
     x, y = p
-    if isinstance(x, (int, float, np.number)):
-        result = e._jet(Jet2.variable(x, 0, order), Jet2.variable(y, 1, order))
-        if isinstance(result, (int, float)):
-            result = Jet2.constant(result, order)
-        if not result.is_finite():
-            raise DomainEvalError(f"evaluation of {e} at {p} produced non-finite coefficients")
-        return result
     with np.errstate(all="ignore"):
+        if isinstance(x, (int, float, np.number)):
+            result = e._jet(Jet2.variable(x, 0, order), Jet2.variable(y, 1, order))
+            if isinstance(result, (int, float)):
+                result = Jet2.constant(result, order)
+            if not result.is_finite():
+                raise DomainEvalError(f"evaluation of {e} at {p} produced non-finite coefficients")
+            return result
         try:
             c = jets.as_jet(e._jet(Jet2.variable(x, 0, order), Jet2.variable(y, 1, order)),
                             order).c
-        # a ValueError is a math function off its domain (sin of an infinity),
-        # which aborts the points one by one as it always has
-        except (*POINT_ERRORS, ValueError):
-            return _stacked(masked(lambda xk, yk: eval_jet(e, (xk, yk), order), zip(x, y)),
-                            order)
+        except POINT_ERRORS:
+            c = np.nan
     c = np.broadcast_to(c, (len(x), jets.ncoef(order)))
     return jets._make(order, np.where(np.isfinite(c).all(axis=1, keepdims=True), c, np.nan))
 

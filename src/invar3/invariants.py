@@ -42,8 +42,7 @@ from .connection import (AffineConnection, OneForm, TwoForm, chern_connection,
                          covariant_derivative_oneform,
                          covariant_derivative_twoform, exterior_derivative,
                          torsion_form, wagner_connection)
-from .errors import (POINT_ERRORS, DomainEvalError, RegularityError, masked,
-                     raise_where)
+from .errors import DomainEvalError, RegularityError, masked, raise_where
 from .jets import Jet2
 from .quantize import Operator3, split
 from .symbol import Sym2Form, Symbol3, max_of, scaled_hessian, value_of
@@ -442,19 +441,16 @@ def _per_point(compute: Callable, xs, ys) -> list:
     that are not all finite, jets included (every point that failed a
     check among them), are computed alone, so each point gets exactly its
     one-point result or error; a one-point result that is still not finite
-    is masked, naming its non-finite values.  A batch that fails as a whole
-    leaves every point to be computed alone; so does a single point, which
-    costs less alone than as a batch of one.  No points give an empty list.
+    is masked, naming its non-finite values.  A batch never raises for one
+    point, so an error it raises propagates.  A single point is computed
+    alone, which costs less than a batch of one.  No points give an empty list.
     """
     xs, ys = list(xs), list(ys)
     alone, out = list(range(len(xs))), [None] * len(xs)
     if len(xs) > 1:
-        try:
-            batch = compute(xs, ys)
-            alone = np.flatnonzero(_non_finite_rows(batch, len(xs))).tolist()
-            out = _rows(batch, len(xs))
-        except POINT_ERRORS:
-            pass  # the batch fails as a whole: each point alone
+        batch = compute(xs, ys)
+        alone = np.flatnonzero(_non_finite_rows(batch, len(xs))).tolist()
+        out = _rows(batch, len(xs))
     for k, res in zip(alone, masked(compute, [(xs[k], ys[k]) for k in alone])):
         bad = [] if isinstance(res, Exception) else _non_finite(res)
         out[k] = DomainEvalError(f"non-finite {', '.join(bad)}") if bad else res

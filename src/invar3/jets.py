@@ -356,16 +356,20 @@ def _coefficients(u: Jet2, series, name: str) -> np.ndarray:
     """The outer function's Taylor coefficients ``series(u0, order)`` at the
     constant term, one row per point on a batch, each computed by the same
     scalar code (so elementary functions round exactly as on one point).
-    A coefficient that overflows raises a :class:`DomainEvalError` naming
-    the function ``name`` and the constant term."""
+    Where a coefficient overflows or the function is off its domain (cos of
+    an infinity), a batch gets a NaN row and one point raises a
+    :class:`DomainEvalError` naming the function ``name`` and the term."""
     u0 = u.c[..., 0]
     rows = []
-    try:
-        for v in u0.ravel().tolist():
+    for v in u0.ravel().tolist():
+        try:
             rows.append(series(v, u.order))
-    except OverflowError:
-        raise DomainEvalError(
-            f"{name} overflows: a series coefficient at constant term {v:.6g}") from None
+        except (OverflowError, ValueError) as err:
+            if u0.ndim == 0:
+                what = ("overflows: a series coefficient" if isinstance(err, OverflowError)
+                        else "is not defined")
+                raise DomainEvalError(f"{name} {what} at constant term {v:.6g}") from None
+            rows.append([math.nan] * (u.order + 1))
     return np.array(rows, dtype=float).reshape(u0.shape + (u.order + 1,))
 
 

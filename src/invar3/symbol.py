@@ -258,8 +258,14 @@ def scaled_hessian(sigma: Symbol3, k: float, *, threshold: float = 1e-12) -> Sym
 
 
 def _require_regular(delta, scale, threshold: float, guarded):
-    """``guarded``, checked for a discriminant ``delta`` away from zero."""
+    """``guarded``, checked for a coefficient ``scale`` whose fourth power
+    is finite and a discriminant ``delta`` away from zero."""
     d = value_of(delta)
-    floor = threshold * max_of((scale, 1e-300)) ** 4
+    scale = max_of((scale, 1e-300))
+    try:  # on a batch an infinite floor fails the row
+        floor = threshold * scale ** 4
+    except OverflowError:  # at one point
+        raise DomainEvalError(
+            f"symbol coefficient scale {scale:.6g}: its fourth power overflows") from None
     return raise_where(abs(d) <= floor, lambda: SingularSymbolError(
         f"symbol is singular: |discriminant| = {abs(d):.3g} <= {floor:.3g}"), guarded)

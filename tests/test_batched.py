@@ -154,16 +154,10 @@ def assert_rows_are_points(e, pts, order):
     alone = []
     for p in pts:
         try:
-            with np.errstate(all="ignore"):  # the one-point overflow warnings
-                alone.append(eval_jet(e, p, order))
-        except (*POINT_ERRORS, ValueError) as err:
+            alone.append(eval_jet(e, p, order))
+        except POINT_ERRORS as err:
             alone.append(err)
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
-    if any(type(r) is ValueError for r in alone):
-        # a math function outside its domain aborts the points, so the batch
-        with pytest.raises(ValueError):
-            eval_jet(e, (xs, ys), order)
-        return
     for got in (eval_jet(e, (xs, ys), order), field_at(e, xs, ys, order)):
         assert got.order == order and got.c.shape == (len(pts), ncoef(order))
         for row, want in zip(got.c, alone):
@@ -192,8 +186,9 @@ def test_batched_evaluation_of_any_expression_matches_each_point(e, order, pts):
     ("cbrt(x - 0.5)", [2], 0),                # cube root at zero
     ("ln(x)^0", [0, 1], 0),                   # a failed base to the power 0
     ("exp(400*x) * exp(400*x)", [4], 0),      # overflows to infinity
-    ("exp(800*x)", [4], 5),                   # math.exp overflows: the batch raises
-    ("x / (1 - 1)", [0, 1, 2, 3, 4], 5),      # a constant zero divisor raises
+    ("exp(800*x)", [4], 0),                   # math.exp overflows on its row alone
+    ("x / (1 - 1)", [0, 1, 2, 3, 4], 0),      # a constant zero divisor: every row
+    ("cos((10*x)^400)", [0, 2, 3, 4], 0),     # cos of an infinity is off its domain
 ])
 def test_points_that_fail_alone_turn_nan(monkeypatch, text, failing, alone):
     calls = []
@@ -205,12 +200,12 @@ def test_points_that_fail_alone_turn_nan(monkeypatch, text, failing, alone):
     monkeypatch.setattr(expr, "eval_jet", counted)
     xs, ys = [-1.0, 0.0, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0, -1.0, 0.25]
     got = field_at(parse(text), xs, ys, 3)
-    # one batched pass; the points one by one only where the batch raised
+    # one batched pass; a batch never raises for one point, so no point alone
     assert calls.count(1) == 1 and calls.count(0) == alone
     for i, p in enumerate(zip(xs, ys)):
         if i in failing:
             assert np.isnan(got.c[i]).all()
-            with pytest.raises(POINT_ERRORS), np.errstate(all="ignore"):
+            with pytest.raises(POINT_ERRORS):
                 eval_jet(parse(text), p, 3)
         else:
             assert np.array_equal(got.c[i], eval_jet(parse(text), p, 3).c)
@@ -532,22 +527,21 @@ def test_per_point_recomputes_a_non_finite_jet_row_alone():
     assert isinstance(out[2], DomainEvalError) and str(out[2]) == "non-finite u"
 
 
-def test_per_point_falls_back_to_single_points_on_an_unnamed_failure():
+def test_a_batch_that_raises_propagates_out_of_per_point():
     from invar3.errors import RegularityError
     from invar3.invariants import _per_point
-    errors = {1.0: ZeroDivisionError("division by zero"),
-              2.0: OverflowError("math range error")}
+    calls = []
 
     def compute(x, y):
+        calls.append(x)
         if isinstance(x, list):
             raise RegularityError("batch failed", ["no rows named"])
-        if x in errors:
-            raise errors[x]
         return _FakePoint(x)
 
-    out = _per_point(compute, [0.0, 1.0, 2.0, 3.0], [0.0] * 4)
-    assert out[0].value == 0.0 and out[3].value == 3.0
-    assert out[1] is errors[1.0] and out[2] is errors[2.0]
+    # a batch never raises for one point: one that does is not split up
+    with pytest.raises(RegularityError, match="batch failed"):
+        _per_point(compute, [0.0, 1.0, 2.0], [0.0] * 3)
+    assert calls == [[0.0, 1.0, 2.0]]
 
 
 # -- callable fields on batches ------------------------------------------------------
@@ -819,23 +813,6 @@ def test_stage_one_makes_one_candidate_call_per_grid(monkeypatch):
         stage = _stage_one(op, grid, 1)
         assert calls == [True]
     assert any(s is None for s in stage.seeds)  # the mixed grid has masked points
-
-
-def test_stage_one_takes_each_point_alone_when_the_batch_raises(monkeypatch):
-    candidates = equivalence._candidate_invariants
-
-    def overflowing(sym_field, x, y, *args, **kwargs):
-        if isinstance(x, list):  # as a math.* series coefficient can overflow
-            raise OverflowError("math range error")
-        return candidates(sym_field, x, y, *args, **kwargs)
-
-    monkeypatch.setattr(equivalence, "_candidate_invariants", overflowing)
-    op, grid = _stage_one_operators(7)[2]
-    stage = _stage_one(op, grid, 1)
-    values, grads, seeds = _stage_one_alone(op, grid, 1)
-    assert np.array_equal(stage.values, values, equal_nan=True)
-    assert np.array_equal(stage.grads, grads, equal_nan=True)
-    assert [s is None for s in stage.seeds] == [s is None for s in seeds]
 
 
 def _check_inverse_alone(phi, phi_inv, window, tol=1e-10):

@@ -320,6 +320,30 @@ def test_overflowing_symbol_masks_points(tmp_path, capsys):
     assert doc["outputs"]["regular_points"] == 0
 
 
+def test_a_math_function_off_its_domain_masks_its_points(tmp_path, capsys):
+    # (10 x)^400 is infinite from x = 5/7 on, where cos of it has no value
+    spec = hyp_variant(tmp_path, "dom.json", a1="1 + 0.1*cos((10*x)^400)")
+    code, doc = run_quietly(tmp_path, capsys, "invariants", spec)
+    assert code in (0, 1, 2, 3)
+    masked = [p for p in doc["outputs"]["points"] if not p["regular"]]
+    assert doc["outputs"]["masked_points"] == len(masked) == 56
+    assert all(p["reason"] for p in masked)
+    assert {round(7 * p["x"]) for p in masked
+            if p["reason"] == "cos is not defined at constant term inf"} == {5, 6, 7}
+    assert {round(7 * p["x"]) for p in masked} == set(range(1, 8))
+
+
+def test_an_overflowing_symbol_scale_is_named(tmp_path, capsys):
+    spec = hyp_variant(tmp_path, "scale.json", a1="1 + 0.1*sin((2*x)^400)")
+    code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "symbol")
+    assert code == 0
+    reasons = {(round(7 * p["x"]), p["reason"]) for p in doc["outputs"]["points"]
+               if not p["regular"] and "scale" in p["reason"]}
+    assert reasons == {
+        (6, "symbol coefficient scale 1.73674e+95: its fourth power overflows"),
+        (7, "symbol coefficient scale 1.02443e+122: its fourth power overflows")}
+
+
 def test_a_failed_connection_solve_names_its_check(tmp_path, capsys):
     spec = hyp_variant(tmp_path, "ovf.json", a2="exp(800*x) / 3")
     code, doc = run_quietly(tmp_path, capsys, "invariants", spec, "--mode", "symbol")

@@ -1,6 +1,8 @@
 """Expression language: parsing, evaluation, symbolic derivative consistency."""
 
 import math
+import re
+import warnings
 
 import pytest
 
@@ -84,6 +86,18 @@ def test_eval_jet_log_singularity():
 def test_eval_division_by_zero_field():
     with pytest.raises(DomainEvalError):
         eval_jet(parse("1 / x"), (0.0, 1.0), 1)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("exp(400*x) * exp(400*x)", "produced non-finite coefficients"),
+    ("1e309*x", "produced non-finite coefficients"),
+    ("cos((10*x)^400)", "cos is not defined at constant term inf"),
+])
+def test_one_point_failure_raises_without_a_numpy_warning(text, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainEvalError, match=re.escape(reason)):
+            eval_jet(parse(text), (1.0, 0.0), 2)
 
 
 def test_expr_operator_overloads():
