@@ -18,20 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .connection import AffineConnection, OneForm, exterior_derivative
-from .errors import (DomainEvalError, GeneralPositionError, InverseMismatchError,
+from .errors import (GeneralPositionError, InverseMismatchError,
                      NonPositiveScaleError, RegularityError, ZeroCrossingError,
-                     raise_where)
+                     failure_record, nan_rows, raise_where, record_failures)
 from .expr import BatchField, Expr, coefficient_field, field_at
 from .invariants import (_per_point, _rows, conformal_frame_data, decompose_cubic,
                          symbol_coframe_point)
-from .jets import Jet2, as_jet, compose, real_power
+from .jets import Jet2, as_jet, compose, real_power, stack
 from .jets import asinh as jet_asinh
 from .linalg import solve_jet_system
 # quantize_sum is re-exported: callers have long imported it from here
@@ -174,15 +173,17 @@ class _PointMemo:
     """Bounded memo of per-point jet data, keyed by the point (x, y), or by
     the coordinates of a batch of points.
 
-    Each key keeps the result of the highest order computed there, and a
-    request at a lower order is served from it: the caller truncates the
-    jets it uses.  Truncated Taylor arithmetic makes the low coefficients of
-    a higher-order result bit-identical to a lower-order computation, and a
-    higher-order computation fails wherever the lower-order one does (its
-    regularity thresholds scale with norms over more coefficients), so a
-    hit never changes a result.  A batch is one key: another batch, or one
-    of its points, misses.  The memo holds at most ``limit`` keys and
-    empties itself when full.
+    Each key keeps the last result computed there, NaN on the rows of a
+    batch that failed, with their recorded errors (see
+    :func:`~invar3.errors.failure_record`), which a hit records again.  A
+    request at a lower order is served from a result without failed rows:
+    the caller truncates the jets it uses.  Truncated Taylor arithmetic
+    makes the low coefficients of a higher-order result bit-identical to a
+    lower-order computation, so a hit never changes a result; a row can
+    fail at the higher order alone, though (its regularity thresholds scale
+    with norms over more coefficients).  A batch is one key: another batch,
+    or one of its points, misses.  The memo holds at most ``limit`` keys
+    and empties itself when full.
     """
 
     __slots__ = ("_compute", "_store", "_limit")
@@ -193,30 +194,35 @@ class _PointMemo:
         self._limit = limit
 
     def __call__(self, x, y, order: int):
-        value = self.peek(x, y, order)
-        if value is None:
-            value = self._compute(x, y, order)
-            self.put(x, y, order, value)
-        return value
+        hit = self._store.get(_memo_key(x, y))
+        if hit is None or hit[0] < order or (hit[0] > order and hit[2]):
+            with failure_record() as failures:
+                value = self._compute(x, y, order)
+            if failures:
+                value = nan_rows(value, np.isin(np.arange(len(x)), list(failures)))
+            hit = self.put(x, y, order, value, failures)
+        record_failures(hit[2])
+        return hit[1]
 
     def peek(self, x, y, order: int):
-        """The stored result if it has at least ``order``, else None."""
+        """The stored result if it has ``order`` or more and no failed rows, else None."""
         hit = self._store.get(_memo_key(x, y))
-        return hit[1] if hit is not None and hit[0] >= order else None
+        return hit[1] if hit is not None and hit[0] >= order and not hit[2] else None
 
-    def put(self, x, y, order: int, value) -> None:
+    def put(self, x, y, order: int, value, failures: dict | None = None) -> tuple:
         if len(self._store) >= self._limit:
             self._store.clear()
-        self._store[_memo_key(x, y)] = (order, value)
+        entry = self._store[_memo_key(x, y)] = (order, value, failures or {})
+        return entry
 
     def serve(self, xs, ys, order: int) -> list:
         """Per point, the value at ``order``, or the error the point raises
         alone.
 
         Hits are served from the memo.  The distinct missing points are
-        computed together by :func:`invariants._per_point`, and each value
-        is stored under its own point, so that a later read of the point
-        hits.
+        computed together by :func:`invariants._per_point`, which gives
+        each failed point the error its row recorded, and each value is
+        stored under its own point, so that a later read of the point hits.
         """
         found = {}
         for p in zip(xs, ys):
@@ -370,21 +376,12 @@ def pushforward_operator(op: Operator3, phi, phi_inv,
         for beta, v in raw_p.items():
             j = v if isinstance(v, Jet2) else Jet2.constant(v, order)
             raw_y[beta] = compose(j.truncated(min(j.order, order)), inv1, inv2)
-        return _nan_where_failed(raw_y, (inv1, inv2, *phi_jets, *coeff_jets.values()))
+        return raw_y
 
     return _raw_slot_operator(raw_at)
 
 
 _PRINCIPAL_SLOTS = ("a1", "a2", "a3", "a4")
-
-
-def _nan_where_failed(raw: dict, inputs) -> dict:
-    """The raw coefficients, checked for finite input jets: a point raises
-    where one of its fields is not finite, and a batch is NaN on those rows
-    (a field's batch is NaN where the point alone raises)."""
-    bad = reduce(np.logical_or, [~np.isfinite(j.c).all(axis=-1) for j in inputs])
-    return {beta: raise_where(bad, lambda: DomainEvalError(
-        "a coefficient field is not finite at this point"), v) for beta, v in raw.items()}
 
 
 def _raw_slot_operator(raw_at: Callable) -> Operator3:
@@ -453,8 +450,8 @@ def gauge_transform(op: Operator3, h, window: DomainGrid | None = None,
     def raw_at(x, y, order: int, principal: bool) -> dict:
         hj = field_at(hf, x, y, order + 3)
         v = hj.value
-        hj = raise_where((v == 0.0) | (abs(v) < floor), lambda: ZeroCrossingError(
-            f"multiplier vanishes at ({x:.3g}, {y:.3g})"), hj)
+        hj = raise_where((v == 0.0) | (abs(v) < floor), lambda px, py: ZeroCrossingError(
+            f"multiplier vanishes at ({px:.3g}, {py:.3g})"), hj, x, y)
         hinv = 1.0 / hj
         # raw partial jets of 1/h up to total order 3
         dparts = {(0, 0): hinv}
@@ -479,7 +476,7 @@ def gauge_transform(op: Operator3, h, window: DomainGrid | None = None,
                     term = ha_jet * dparts[(a1 - b1, a2 - b2)] * cmb
                     slot = (b1, b2)
                     out[slot] = out.get(slot, 0.0) + term
-        return _nan_where_failed(out, (hj, *coeff_jets.values()))
+        return out
 
     return _raw_slot_operator(raw_at)
 
@@ -533,8 +530,8 @@ def _line_bundle_solve(opp: Operator3, chern: AffineConnection | None) -> tuple[
     x, report = solve_jet_system(M, rhs, singular_message="line-bundle connection")
     res, scale = report.residual, max_of((1.0, opp.norm()))  # res: |M x - b| at the point
     t1, t2, lam = raise_where(res > 1e-10 * scale * max_of((1.0, report.cond)),
-                              lambda: RegularityError("line-bundle connection residual too large",
-                                                      [f"residual {res:.3g}"]), tuple(x))
+                              lambda r: RegularityError("line-bundle connection residual too large",
+                                                        [f"residual {r:.3g}"]), tuple(x), res)
     return OneForm(t1, t2), lam
 
 
@@ -559,9 +556,9 @@ def normalize(op_field: Operator3) -> Operator3:
         g = scaled_hessian(data.symbol.map(lambda c: c.truncated(order + 1)), -1.0 / 3.0)
         lam = g.pair(data.theta.components, data.theta.components)
         lam_value = value_of(lam)
-        lam = raise_where(lam_value <= 0.0, lambda: NonPositiveScaleError(
-            f"normalization multiplier {lam_value:.3g} is not positive at "
-            f"({x:.3g}, {y:.3g})"), lam)
+        lam = raise_where(lam_value <= 0.0, lambda v, px, py: NonPositiveScaleError(
+            f"normalization multiplier {v:.3g} is not positive at "
+            f"({px:.3g}, {py:.3g})"), lam, lam_value, x, y)
         lam_jet = lam if isinstance(lam, Jet2) else Jet2.constant(lam, order)
         return real_power(lam_jet.truncated(min(lam_jet.order, order)), -1.5)
 
@@ -738,8 +735,22 @@ def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
     coords_jac = _reader(charts, 1, lambda point: _chart_data(point)[:2])
     signature_at = _reader(charts, 1, lambda point: _chart_data(point)[2])
 
+    # kept: regular points inside the coordinate cap where the selected
+    # pair's Jacobian clears the floor (nan compares false)
+    sel = [i_sel, j_sel]
+    kept = np.flatnonzero(
+        (np.abs(stage.values[:, sel]).max(axis=1) <= cfg.coordinate_cap)
+        & _clears_floor(stage.grads, selection, cfg.jacobian_floor))
+    xs, ys = [pts[k][0] for k in kept], [pts[k][1] for k in kept]
+
     if mode == "scalar":
         field_names = list(_SCALAR_FIELDS)
+        # the kept points' chart, read as one batch: stage one's (regular) rows
+        seeds = [stage.seeds[k] for k in kept]
+        if len(seeds) > 1:
+            charts.put(xs, ys, seeds[0][0][0].order, (
+                stack([s[0][i_sel] for s in seeds]), stack([s[0][j_sel] for s in seeds]),
+                tuple(np.array(d) for d in zip(*(s[1] for s in seeds)))))
 
         def scalar_fields(x, y, _order):
             I1, I2 = (as_jet(v, 3) for v in charts(x, y, 3)[:2])
@@ -773,13 +784,7 @@ def _assemble_model(op_field, grid, mode, selection, cfg, stage: _StageOne,
         fields_at = _reader(records, 0, lambda record: record[0])
         connection_at = _reader(records, 0, lambda record: record[1])
 
-    # kept: regular points inside the coordinate cap where the selected
-    # pair's Jacobian clears the floor (nan compares false)
-    sel = [i_sel, j_sel]
-    kept = np.flatnonzero(
-        (np.abs(stage.values[:, sel]).max(axis=1) <= cfg.coordinate_cap)
-        & _clears_floor(stage.grads, selection, cfg.jacobian_floor))
-    found = fields_at([pts[k][0] for k in kept], [pts[k][1] for k in kept])
+    found = fields_at(xs, ys)
 
     npts = len(pts)
     fvals = np.full((npts, len(field_names)), np.nan)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -96,25 +98,55 @@ def masked(compute, points) -> list:
     return out
 
 
-def raise_where(bad, error, value):
+# per batch being computed, innermost last: {row: its first failed check's error}
+_RECORDS: list = []
+
+
+@contextmanager
+def failure_record():
+    """Opens the failure record of the batch computed inside it."""
+    _RECORDS.append({})
+    try:
+        yield _RECORDS[-1]
+    finally:
+        _RECORDS.pop()
+
+
+def record_failures(failures: dict) -> None:
+    """Adds ``{row: error}`` to the open record, if any; a row keeps its first."""
+    if _RECORDS:
+        for k, err in failures.items():
+            _RECORDS[-1].setdefault(k, err)
+
+
+def raise_where(bad, error, value, *named):
     """``value``, checked where it is computed.
 
     ``bad`` is a bool for one point, or a boolean array over the rows of a
-    batch.  One point raises ``error()`` where the check fails.  A batch
-    goes on, with ``value`` (a jet, a number or array, or a tuple of them)
-    turned to NaN on the rows where ``bad`` holds; computed alone, such a
-    point raises the error that tells what failed there.
+    batch.  ``error(*named)`` builds a point's error from the values its
+    message names, as Python numbers (on a batch, the point's entries of
+    ``named``).  One point raises it where the check fails.  A batch goes
+    on, with ``value`` turned to NaN on the rows where ``bad`` holds (see
+    :func:`nan_rows`), and records their errors (see :func:`failure_record`).
     """
-    if bad is False:
-        return value
-    if isinstance(bad, np.ndarray):
-        if bad.any():
-            # times 1.0 leaves every other row bit for bit as it was
-            fill = np.where(bad, np.nan, 1.0)
-            return tuple(v * fill for v in value) if isinstance(value, tuple) else value * fill
-    elif bad:
-        raise error()
+    if not (isinstance(bad, np.ndarray) and bad.ndim):
+        if bad:
+            raise error(*(np.asarray(v).tolist() for v in named))
+    elif bad.any():
+        columns = [np.broadcast_to(v, bad.shape).tolist() for v in named]
+        record_failures({k: error(*(c[k] for c in columns)) for k in np.flatnonzero(bad).tolist()})
+        return nan_rows(value, bad)
     return value
+
+
+def nan_rows(value, bad: np.ndarray):
+    """``value`` (a jet, a number or array, or dicts and tuples of them) NaN
+    on the rows where ``bad`` holds; times 1.0 leaves the others bit for bit."""
+    if isinstance(value, tuple):
+        return tuple(nan_rows(v, bad) for v in value)
+    if isinstance(value, dict):
+        return {k: nan_rows(v, bad) for k, v in value.items()}
+    return value * np.where(bad, np.nan, 1.0)
 
 
 class ConditioningWarning(UserWarning):

@@ -23,8 +23,8 @@ from functools import partial
 import numpy as np
 
 from . import jets
-from .errors import (POINT_ERRORS, DomainEvalError, ParseError,
-                     UnknownIdentifierError, masked)
+from .errors import (POINT_ERRORS, DomainEvalError, ParseError, UnknownIdentifierError,
+                     masked, raise_where, record_failures)
 from .jets import Jet2
 
 __all__ = [
@@ -391,38 +391,28 @@ def eval_jet(e: Expr, p: tuple, order: int = 5) -> Jet2:
 
     ``p`` may also hold two equal-length sequences of coordinates: every
     node then runs once on batched jets, one row per point.  A row is the
-    point's jet bit for bit, or NaN: NaN wherever the point alone raises,
-    and where a zeroth power turns a NaN base into 1 at the point alone.
-    A batch never raises for one point: what still raises on batched jets
-    does not depend on the point (a constant zero divisor) and turns every
-    row to NaN; :func:`invariants._per_point` computes such points alone.
+    point's jet bit for bit, or NaN where the point alone raises, with the
+    point's error in the open failure record.  A batch never raises for one
+    point: what still raises on batched jets does not depend on the point
+    (a constant zero divisor), so it is every row's error.
     """
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression node: {e!r}")
     x, y = p
+    point = isinstance(x, (int, float, np.number))
     with np.errstate(all="ignore"):
-        if isinstance(x, (int, float, np.number)):
-            result = e._jet(Jet2.variable(x, 0, order), Jet2.variable(y, 1, order))
-            if isinstance(result, (int, float)):
-                result = Jet2.constant(result, order)
-            if not result.is_finite():
-                raise DomainEvalError(f"evaluation of {e} at {p} produced non-finite coefficients")
-            return result
         try:
-            c = jets.as_jet(e._jet(Jet2.variable(x, 0, order), Jet2.variable(y, 1, order)),
-                            order).c
-        except POINT_ERRORS:
-            c = np.nan
-    c = np.broadcast_to(c, (len(x), jets.ncoef(order)))
-    return jets._make(order, np.where(np.isfinite(c).all(axis=1, keepdims=True), c, np.nan))
-
-
-def _stacked(rows: list, order: int) -> Jet2:
-    """One batched jet from per-point jets, with an all-NaN row for each
-    point error."""
-    k = next((r.order for r in rows if isinstance(r, Jet2)), order)
-    failed = Jet2(k, [float("nan")] * jets.ncoef(k))
-    return jets.stack([failed if isinstance(r, Exception) else r for r in rows])
+            result = jets.as_jet(e._jet(Jet2.variable(x, 0, order), Jet2.variable(y, 1, order)),
+                                 order)
+        except POINT_ERRORS as err:
+            if point:
+                raise
+            record_failures(dict.fromkeys(range(len(x)), err))
+            result = Jet2.constant(np.nan, order)
+        c = result.c if point else np.broadcast_to(result.c, (len(x), jets.ncoef(order)))
+        return raise_where(~np.isfinite(c).all(axis=-1), lambda px, py: DomainEvalError(
+            f"evaluation of {e} at {(px, py)} produced non-finite coefficients"),
+            jets._make(order, c), x, y)
 
 
 # -- symbolic differentiation ---------------------------------------------------
@@ -474,8 +464,8 @@ def diff(e: Expr, name: str) -> Expr:
 class BatchField(partial):
     """Marks a coefficient field that takes either rank: at equal-length
     coordinate sequences, ``f(x, y, order)`` gives one batched jet whose
-    rows are the points' jets, NaN where the point alone raises.
-    :func:`field_at` calls any other callable point by point.  A
+    rows are the points' jets, NaN where the point alone raises (see
+    :func:`eval_jet`).  :func:`field_at` calls any other callable point by point.  A
     :class:`functools.partial` (``BatchField(fn, *args)``), so the marker
     adds no Python frame to a call."""
 
@@ -514,12 +504,17 @@ def field_at(component, x, y, order: int) -> Jet2:
     """Jet of a coefficient component at the point (x, y).
 
     ``x`` and ``y`` may also be equal-length sequences: the result is then
-    one batched jet, with NaN rows where evaluation fails (computed alone,
-    such a point raises the error).  Expressions, strings, numbers and
-    :class:`BatchField` callables are evaluated once for the whole batch
-    (see :func:`eval_jet`); any other callable is called point by point.
+    one batched jet, with NaN rows where evaluation fails (the error such a
+    point raises alone goes to the open failure record).  Expressions,
+    strings, numbers and :class:`BatchField` callables are evaluated once
+    for the whole batch (see :func:`eval_jet`); any other callable is
+    called point by point.
     """
     f = coefficient_field(component)
     if isinstance(f, BatchField) or isinstance(x, (int, float, np.number)):
         return f(x, y, order)
-    return _stacked(masked(lambda xk, yk: f(xk, yk, order), zip(x, y)), order)
+    rows = masked(lambda xk, yk: f(xk, yk, order), zip(x, y))
+    record_failures({k: r for k, r in enumerate(rows) if isinstance(r, Exception)})
+    k = next((r.order for r in rows if isinstance(r, Jet2)), order)
+    failed = Jet2(k, [float("nan")] * jets.ncoef(k))
+    return jets.stack([failed if isinstance(r, Exception) else r for r in rows])

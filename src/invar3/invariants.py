@@ -25,14 +25,13 @@ the frame by jet propagation, never by finite differences.
 
 The coframes and the invariants run on batched jets as well (one row per
 point, see :mod:`invar3.jets`); a regularity check that fails there turns
-its rows to NaN instead of raising.
+its rows to NaN and records their errors instead of raising.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import reduce
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -42,7 +41,7 @@ from .connection import (AffineConnection, OneForm, TwoForm, chern_connection,
                          covariant_derivative_oneform,
                          covariant_derivative_twoform, exterior_derivative,
                          torsion_form, wagner_connection)
-from .errors import DomainEvalError, RegularityError, masked, raise_where
+from .errors import DomainEvalError, RegularityError, failure_record, masked, raise_where
 from .jets import Jet2
 from .quantize import Operator3, split
 from .symbol import Sym2Form, Symbol3, max_of, scaled_hessian, value_of
@@ -208,7 +207,7 @@ def _build_coframe(theta: OneForm, metric: Sym2Form, *, rel_tol: float,
         lambda: RegularityError("coframe construction failed", [zero_name]), theta.components))
     pairing = metric.pair(theta.components, theta.components)
     pairing_value = value_of(pairing)
-    pair_scale = metric.norm() * theta_scale ** 2
+    pair_scale = metric.norm() * (theta_scale * theta_scale)  # never raises, as a float's ** 2 can
     diagnostics["pairing"] = pairing_value
     theta = OneForm(*raise_where(
         abs(pairing_value) <= rel_tol * max_of((pair_scale, 1e-300)),
@@ -314,8 +313,8 @@ def conformal_frame_data(symbol_field: Symbol3, x: float, y: float, *,
     Consumes (4 + extra_order)-jets of the symbol coefficients.  Raises
     :class:`RegularityError` itemizing which condition failed: singular
     symbol, vanishing curvature form, degenerate quadratic form, or a
-    null covector.  On batched jets a failed check turns its points' rows
-    to NaN instead, in every field of the result.
+    null covector.  On batched jets a failed check records its points'
+    errors instead (see :func:`~invar3.errors.raise_where`).
     """
     m = 4 + extra_order
     sp = symbol_field.at(x, y, m)
@@ -331,7 +330,8 @@ def conformal_frame_data(symbol_field: Symbol3, x: float, y: float, *,
     H = covariant_derivative_oneform(gamma, theta)
     quad = Sym2Form(H[0][0], H[0][1] + H[1][0], H[1][1], variance="co")
     qdet = value_of(quad.det())
-    qscale = max_of((quad.norm() ** 2, 1e-300))
+    qnorm = quad.norm()
+    qscale = max_of((qnorm * qnorm, 1e-300))
     quad = Sym2Form(*raise_where(abs(qdet) <= rel_tol * qscale,
                                  lambda: RegularityError("conformal frame failed",
                                                          ["quadratic form is degenerate"]),
@@ -343,30 +343,8 @@ def conformal_frame_data(symbol_field: Symbol3, x: float, y: float, *,
                              null_name="covector is null for the quadratic form",
                              zero_name="covector vanishes",
                              diagnostics=diagnostics)
-    data = ConformalFrameData(coframe=coframe, symbol=sp, gamma=gamma, omega=omega,
+    return ConformalFrameData(coframe=coframe, symbol=sp, gamma=gamma, omega=omega,
                               curvature_form=big_omega, theta=theta, quadratic=quad)
-    # every failed check leaves a coframe value NaN on its row; there the
-    # whole pipeline is NaN, not only what the check fed
-    entries = (*coframe.theta.components, *coframe.theta_prime.components, *coframe.d1, *coframe.d2)
-    failed = ~np.isfinite([value_of(c) for c in entries]).all(axis=0)
-    if np.ndim(failed) and failed.any():
-        data = _times(data, np.where(failed, np.nan, 1.0))
-    return data
-
-
-def _times(value, fill: np.ndarray):
-    """``value`` with every jet, array and float in it, through dataclasses,
-    dicts and tuples, multiplied by the per-row ``fill``; labels stay."""
-    if isinstance(value, (Jet2, np.ndarray, float)):
-        return value * fill
-    if isinstance(value, tuple):
-        return tuple(_times(v, fill) for v in value)
-    if isinstance(value, dict):
-        return {k: _times(v, fill) for k, v in value.items()}
-    if is_dataclass(value):
-        return replace(value, **{f.name: _times(getattr(value, f.name), fill)
-                                 for f in fields(value)})
-    return value
 
 
 def conformal_coframe(symbol_field: Symbol3, x: float, y: float, *,
@@ -418,7 +396,7 @@ def operator_invariants(op_field: Operator3, x, y, *,
 
     ``x`` and ``y`` may also be equal-length sequences of points.  The
     pipeline then runs once, on batched jets of all the points, where a
-    failed check turns its points' rows to NaN and the pass goes on.  The
+    failed check records its points' errors and the pass goes on.  The
     result is a list holding, per point, its :class:`OperatorInvariants`
     or the error that masks it: the error the point raises on its own, or
     one naming the invariants that come out non-finite there.
@@ -437,24 +415,28 @@ def _per_point(compute: Callable, xs, ys) -> list:
     (numbers in dicts, lists and tuples, or an object with a ``flat()``
     dict of them, such as :class:`OperatorInvariants`) or raises the error
     that masks the point; at sequences of points it returns the same
-    structure with arrays or batched jets in place of the numbers.  Rows
-    that are not all finite, jets included (every point that failed a
-    check among them), are computed alone, so each point gets exactly its
-    one-point result or error; a one-point result that is still not finite
-    is masked, naming its non-finite values.  A batch never raises for one
-    point, so an error it raises propagates.  A single point is computed
-    alone, which costs less than a batch of one.  No points give an empty list.
+    structure with arrays or batched jets in place of the numbers.  A
+    point whose row failed a check gets the error recorded there (see
+    :func:`~invar3.errors.failure_record`), the error it raises on its
+    own; one whose row is not all finite, jets included, is masked, naming
+    its non-finite values.  A batch never raises for one point, so an error
+    it raises propagates.  A single point is computed alone, which costs
+    less than a batch of one.  No points give an empty list.
     """
     xs, ys = list(xs), list(ys)
-    alone, out = list(range(len(xs))), [None] * len(xs)
-    if len(xs) > 1:
-        batch = compute(xs, ys)
-        alone = np.flatnonzero(_non_finite_rows(batch, len(xs))).tolist()
+    if len(xs) == 1:
+        out = masked(compute, zip(xs, ys))
+        failures, batch = ({0: out[0]}, None) if isinstance(out[0], Exception) else ({}, out[0])
+    elif xs:
+        with failure_record() as failures:
+            batch = compute(xs, ys)
         out = _rows(batch, len(xs))
-    for k, res in zip(alone, masked(compute, [(xs[k], ys[k]) for k in alone])):
-        bad = [] if isinstance(res, Exception) else _non_finite(res)
-        out[k] = DomainEvalError(f"non-finite {', '.join(bad)}") if bad else res
-    return out
+    else:
+        return []
+    named = sorted(_non_finite(batch, len(xs)).items())
+    for k in {k for _, rows in named for k in np.flatnonzero(rows).tolist()} - set(failures):
+        failures[k] = DomainEvalError(f"non-finite {', '.join(n for n, rows in named if rows[k])}")
+    return [failures.get(k, v) for k, v in enumerate(out)]
 
 
 def _rows(batch, n: int) -> list:
@@ -474,41 +456,25 @@ def _rows(batch, n: int) -> list:
     return [batch] * n
 
 
-def _non_finite_rows(batch, n: int) -> np.ndarray:
-    """Where :func:`_non_finite` finds a value in the rows that
-    :func:`_rows` splits the batch result into: one ``np.isfinite`` per
-    float array or batched jet."""
-    if callable(getattr(batch, "flat", None)):
-        batch = batch.flat()
-    if isinstance(batch, dict):
-        batch = list(batch.values())
-    if isinstance(batch, (list, tuple)):
-        return reduce(np.logical_or, [_non_finite_rows(v, n) for v in batch], np.zeros(n, bool))
-    if isinstance(batch, Jet2):
-        batch = batch.c
-    if isinstance(batch, np.ndarray):  # labels (an object array) are never flagged
-        return (~np.isfinite(batch.reshape(n, -1)).all(axis=1) if batch.dtype.kind == "f"
-                else np.zeros(n, bool))
-    if isinstance(batch, float):
-        return np.full(n, not math.isfinite(batch))
-    if hasattr(batch, "row"):  # an opaque batch
-        return np.array([bool(_non_finite(batch.row(i))) for i in range(n)], dtype=bool)
-    return np.zeros(n, bool)
-
-
-def _non_finite(result, name: str = "") -> list:
-    """Sorted names of the non-finite numbers in a one-point result."""
+def _non_finite(result, n: int, name: str = "") -> dict:
+    """The numbers of a result of ``n`` rows (see :func:`_per_point`; a jet
+    is one number) that are not finite on some row: their names, as the
+    rows that :func:`_rows` splits it into name them, and those rows."""
     if callable(getattr(result, "flat", None)):
         result = result.flat()
     if isinstance(result, dict):
         named = [(f"{name}.{k}" if name else k, v) for k, v in result.items()]
     elif isinstance(result, (list, tuple)):
         named = [(f"{name}[{k}]", v) for k, v in enumerate(result)]
-    elif isinstance(result, Jet2):
-        return [] if result.is_finite() else [name]
-    else:  # a number, or a label such as a symbol kind
-        return [name] if isinstance(result, float) and not math.isfinite(result) else []
-    return sorted(bad for key, v in named for bad in _non_finite(v, key))
+    elif isinstance(result, float):  # the same on every row
+        return {} if math.isfinite(result) else {name: np.ones(n, bool)}
+    else:
+        c = result.c if isinstance(result, Jet2) else result
+        if not isinstance(c, np.ndarray) or c.dtype.kind != "f":
+            return {}  # a label, such as a symbol kind
+        rows = ~np.isfinite(c).reshape(n, -1).all(axis=1)
+        return {name: rows} if rows.any() else {}
+    return {bad: rows for key, v in named for bad, rows in _non_finite(v, n, key).items()}
 
 
 def _operator_invariants(op_field: Operator3, x, y, mode: str,

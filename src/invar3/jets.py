@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainEvalError, OrderMismatchError, raise_where
+from .errors import DomainEvalError, OrderMismatchError, raise_where, record_failures
 
 __all__ = [
     "Jet2", "ncoef", "pack_index",
@@ -203,9 +203,6 @@ class Jet2:
         c = self.c
         return float(c[pack_index(i, j)]) if c.ndim == 1 else c[:, pack_index(i, j)]
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.c).all())
-
     def norm(self):
         """Max-norm of the coefficients (per row on a batch)."""
         c = self.c
@@ -310,9 +307,8 @@ class Jet2:
         if n < 0:
             return _reciprocal(self) ** (-n)
         result = Jet2.constant(1.0, self.order)
-        if n == 0 and self.c.ndim == 2:
-            # one row per point, and a failed (NaN) row stays failed
-            return result * np.where(np.isnan(self.c[:, 0]), np.nan, 1.0)
+        if n == 0:  # a NaN base (a failed row or point) stays NaN
+            return result * np.where(np.isnan(self.c[..., 0]), np.nan, 1.0)
         base = self
         k = n
         while k:
@@ -356,20 +352,23 @@ def _coefficients(u: Jet2, series, name: str) -> np.ndarray:
     """The outer function's Taylor coefficients ``series(u0, order)`` at the
     constant term, one row per point on a batch, each computed by the same
     scalar code (so elementary functions round exactly as on one point).
-    Where a coefficient overflows or the function is off its domain (cos of
-    an infinity), a batch gets a NaN row and one point raises a
+    Where a coefficient overflows (a power of the term over- or
+    underflows) or the function is off its domain (cos of an infinity),
+    one point raises, and a batch records with a NaN row, a
     :class:`DomainEvalError` naming the function ``name`` and the term."""
     u0 = u.c[..., 0]
-    rows = []
-    for v in u0.ravel().tolist():
+    rows, failed = [], {}
+    for k, v in enumerate(u0.ravel().tolist()):
         try:
             rows.append(series(v, u.order))
-        except (OverflowError, ValueError) as err:
-            if u0.ndim == 0:
-                what = ("overflows: a series coefficient" if isinstance(err, OverflowError)
-                        else "is not defined")
-                raise DomainEvalError(f"{name} {what} at constant term {v:.6g}") from None
+        except (ArithmeticError, ValueError) as err:
+            what = ("overflows: a series coefficient" if isinstance(err, ArithmeticError)
+                    else "is not defined")
+            failed[k] = DomainEvalError(f"{name} {what} at constant term {v:.6g}")
             rows.append([math.nan] * (u.order + 1))
+    if failed and u0.ndim == 0:
+        raise failed[0]
+    record_failures(failed)
     return np.array(rows, dtype=float).reshape(u0.shape + (u.order + 1,))
 
 
@@ -416,7 +415,7 @@ def ln(u):
             raise DomainEvalError(f"log of non-positive value {u}")
         return math.log(u)
     u0 = u.value
-    u = raise_where(u0 <= 0.0, lambda: DomainEvalError(f"log of non-positive value {u0}"), u)
+    u = raise_where(u0 <= 0.0, lambda v: DomainEvalError(f"log of non-positive value {v}"), u, u0)
     return _series_apply(u, _coefficients(u, _ln_series, "ln"))
 
 
@@ -463,7 +462,7 @@ def sqrt(u):
         return math.sqrt(u)
     u0 = u.value
     u = raise_where(u0 <= 0.0,
-                    lambda: DomainEvalError(f"even root of non-positive value {u0}"), u)
+                    lambda v: DomainEvalError(f"even root of non-positive value {v}"), u, u0)
     return _binomial_series(u, 0.5)
 
 
@@ -512,8 +511,8 @@ def real_power(u, r: float):
         return cbrt(u) ** m
     u0 = u.value
     u = raise_where(u0 <= 0.0,
-                    lambda: DomainEvalError(f"non-integer power {r} of non-positive value {u0}"),
-                    u)
+                    lambda v: DomainEvalError(f"non-integer power {r} of non-positive value {v}"),
+                    u, u0)
     return _binomial_series(u, r)
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .errors import ConditioningWarning, SingularSymbolError
+from .errors import ConditioningWarning, SingularSymbolError, raise_where
 from .jets import Jet2, _make, ncoef, pack_index
 
 __all__ = ["solve_jet_system", "JetSolveReport"]
@@ -67,9 +67,9 @@ def solve_jet_system(M, b, *, cond_warn: float = 1e12,
     Returns ``(x, report)``, ``x`` a list of jets at the inputs' common
     order.  Warns (:class:`ConditioningWarning`, once per check, with the
     worst point) when the constant-term matrix's condition number exceeds
-    ``cond_warn`` or the residual is large.  Raises
-    :class:`SingularSymbolError` where it is numerically singular (NaN rows
-    in a batch), naming the failed check after ``singular_message``: a
+    ``cond_warn`` or the residual is large.  Raises (on a batch, records
+    with NaN rows) a :class:`SingularSymbolError` where it is numerically
+    singular, naming the failed check after ``singular_message``: a
     factorization that is not finite, or a condition number above 1e15
     (with the largest singular value when the smallest is 0).
     """
@@ -92,11 +92,13 @@ def solve_jet_system(M, b, *, cond_warn: float = 1e12,
     with np.errstate(all="ignore"):
         cond = np.where(s[:, -1] > 0.0, s[:, 0] / s[:, -1], np.inf)
     ok = finite & (cond <= 1e15)
-    if point and not ok[0]:
-        zero = f" (smallest singular value 0, largest {s[0, 0]:.3g})" if s[0, -1] == 0 else ""
-        raise SingularSymbolError(f"{singular_message}: " + (
-            f"condition number {cond[0]:.3g} above 1e15{zero}" if finite[0]
-            else "LU factorization is not finite"))
+
+    def singular(fin, c, large, small):
+        zero = f" (smallest singular value 0, largest {large:.3g})" if small == 0 else ""
+        return SingularSymbolError(f"{singular_message}: " + (
+            f"condition number {c:.3g} above 1e15{zero}" if fin else "LU factorization is not finite"))
+    named = (finite, cond, s[:, 0], s[:, -1])
+    raise_where(~ok[0] if point else ~ok, singular, (), *(v[0] if point else v for v in named))
     if (ok & (cond > cond_warn)).any():
         warnings.warn(f"condition number {cond[ok].max():.3g} exceeds {cond_warn:.1g}",
                       ConditioningWarning, stacklevel=2)

@@ -183,9 +183,9 @@ def classify(sigma: Symbol3, threshold: float = 1e-9) -> Classification:
         scale4 = np.float_power(scale, 4)  # rounds as a float's ** 4
         normalized = np.where(scale > 0, delta / scale4, 0.0)
     bad = (scale > 0) & ((scale4 == 0.0) | np.isinf(scale4))
-    delta = raise_where(bad, lambda: DomainEvalError(
-        f"symbol coefficient scale {scale:.6g}: its fourth power "
-        f"{'overflows' if scale > 1 else 'underflows'}"), delta)
+    delta = raise_where(bad, lambda s: DomainEvalError(
+        f"symbol coefficient scale {s:.6g}: its fourth power "
+        f"{'overflows' if s > 1 else 'underflows'}"), delta, scale)
     kind = _KINDS[np.where(normalized > threshold, 0, np.where(normalized < -threshold, 1, 2))]
     return Classification(kind=kind, delta=delta, threshold=threshold)
 
@@ -260,12 +260,11 @@ def scaled_hessian(sigma: Symbol3, k: float, *, threshold: float = 1e-12) -> Sym
 def _require_regular(delta, scale, threshold: float, guarded):
     """``guarded``, checked for a coefficient ``scale`` whose fourth power
     is finite and a discriminant ``delta`` away from zero."""
-    d = value_of(delta)
+    d = abs(value_of(delta))
     scale = max_of((scale, 1e-300))
-    try:  # on a batch an infinite floor fails the row
-        floor = threshold * scale ** 4
-    except OverflowError:  # at one point
-        raise DomainEvalError(
-            f"symbol coefficient scale {scale:.6g}: its fourth power overflows") from None
-    return raise_where(abs(d) <= floor, lambda: SingularSymbolError(
-        f"symbol is singular: |discriminant| = {abs(d):.3g} <= {floor:.3g}"), guarded)
+    with np.errstate(over="ignore"):
+        floor = threshold * np.float_power(scale, 4)  # rounds as a float's ** 4
+    guarded = raise_where(np.isinf(floor), lambda s: DomainEvalError(
+        f"symbol coefficient scale {s:.6g}: its fourth power overflows"), guarded, scale)
+    return raise_where(d <= floor, lambda d, f: SingularSymbolError(
+        f"symbol is singular: |discriminant| = {d:.3g} <= {f:.3g}"), guarded, d, floor)

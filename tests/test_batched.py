@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 
 from conftest import (image_box, random_diffeo, random_gauge, random_one_root_symbol,
                       random_operator, random_three_root_symbol, rng_for, small_poly)
-from invar3 import equivalence, expr, jets
+from invar3 import equivalence, expr, invariants, jets
 from invar3.equivalence import (DomainGrid, EquivConfig, _candidate_invariants, _PointMemo,
                                 _stage_one, build_natural_model, gauge_transform,
                                 line_bundle_connection, normalize, pushforward_operator,
                                 scale_operator)
 from invar3.errors import (POINT_ERRORS, ConditioningWarning, DomainEvalError,
                            InverseMismatchError, RegularityError, SingularSymbolError,
-                           ZeroCrossingError)
+                           ZeroCrossingError, failure_record, raise_where)
 from invar3.expr import eval_jet, field_at, parse
 from invar3.invariants import OperatorInvariants, operator_invariants
 from invar3.jets import Jet2, compose, ncoef
@@ -148,9 +148,8 @@ grid_points = st.lists(st.tuples(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 def assert_rows_are_points(e, pts, order):
     """Batched evaluation at ``pts``: each row bit for bit the one-point
-    jet, or NaN where the point alone raises a point error.  A zeroth power
-    may also leave a NaN row where the point gets 1 from a NaN base (such
-    as (x/x)^0 at a subnormal x, where 1/x overflows)."""
+    jet, or NaN where the point alone raises a point error, and then that
+    error, word for word, in the failure record."""
     alone = []
     for p in pts:
         try:
@@ -158,13 +157,16 @@ def assert_rows_are_points(e, pts, order):
         except POINT_ERRORS as err:
             alone.append(err)
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
-    for got in (eval_jet(e, (xs, ys), order), field_at(e, xs, ys, order)):
+    for evaluate in (eval_jet, lambda e, p, order: field_at(e, *p, order)):
+        with failure_record() as failures:
+            got = evaluate(e, (xs, ys), order)
         assert got.order == order and got.c.shape == (len(pts), ncoef(order))
-        for row, want in zip(got.c, alone):
+        for k, (row, want) in enumerate(zip(got.c, alone)):
             if isinstance(want, Exception):
                 assert np.isnan(row).all()
-            elif not np.array_equal(row, want.c):
-                assert np.isnan(row).all() and "^0)" in str(e)
+                assert type(failures[k]) is type(want) and str(failures[k]) == str(want)
+            else:
+                assert np.array_equal(row, want.c) and k not in failures
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,8 +336,9 @@ def _jets(inv: OperatorInvariants) -> list:
 def _per_point(op, pts, mode, rel_tol=1e-9):
     out = []
     for p in pts:
-        try:
-            out.append(operator_invariants(op, *p, mode=mode, rel_tol=rel_tol))
+        try:  # an overflow at one point may warn on its way to the error
+            with np.errstate(all="ignore"):
+                out.append(operator_invariants(op, *p, mode=mode, rel_tol=rel_tol))
         except Exception as err:  # the batch must report the same error
             out.append(err)
     return out
@@ -450,8 +453,142 @@ def test_per_point_makes_one_batched_pass(monkeypatch):
     pts = DomainGrid(0.0, 1.0, 0.0, 1.0, 16, 16).points()
     out = operator_invariants(hyp, [p[0] for p in pts], [p[1] for p in pts])
     assert sum(isinstance(r, Exception) for r in out) == 16
-    # one pass over the grid, then the 16 masked points alone
-    assert batched.count(True) == 1 and batched.count(False) == 16
+    # one pass over the grid, which names the 16 masked points itself
+    assert batched.count(True) == 1 and batched.count(False) == 0
+
+
+# criterion 10's operator with coefficients that leave the pipeline's domain:
+# an overflow in the symbol and in a lower slot, and a cosine and a sine of
+# an overflowing power
+HYP_VARIANTS = [{}, {"a2": "exp(800*x) / 3"}, {"b1": "exp(800*x)"},
+                {"a1": "1 + 0.1*cos((10*x)^400)"}, {"a1": "1 + 0.1*sin((2*x)^400)"}]
+
+
+def _hyp_variant(variant: dict) -> Operator3:
+    return Operator3(**{k: parse(v) for k, v in dict(HYP, **variant).items()})
+
+
+def _alone(op, pts, mode):
+    """Each point computed alone, by the rule of a single point: its result,
+    the error it raises, or one naming its non-finite invariants."""
+    return [operator_invariants(op, [x], [y], mode=mode)[0] for x, y in pts]
+
+
+@pytest.mark.parametrize("mode", ["scalar", "bundle"])
+@pytest.mark.parametrize("variant", HYP_VARIANTS, ids=lambda v: "-".join(v.values()) or "hyp")
+def test_each_masked_grid_point_has_the_error_of_its_point_alone(variant, mode):
+    op = _hyp_variant(variant)
+    pts = DomainGrid(0.0, 1.0, 0.0, 1.0, 8, 8).points()
+    batched = operator_invariants(op, [p[0] for p in pts], [p[1] for p in pts], mode=mode)
+    _assert_same(batched, _alone(op, pts, mode))
+    assert any(isinstance(r, Exception) for r in batched)
+
+
+@st.composite
+def failing_batches(draw):
+    """A mode, an operator and two or more points, some of which fail:
+    grid points of a criterion 10 variant, or random points of a random
+    operator whose symbol and a lower slot leave the domain of ln."""
+    mode = draw(st.sampled_from(["scalar", "bundle"]))
+    if draw(st.booleans()):
+        grid = DomainGrid(0.0, 1.0, 0.0, 1.0, 8, 8).points()
+        picks = draw(st.lists(st.sampled_from(range(64)), min_size=2, max_size=10))
+        return mode, _hyp_variant(draw(st.sampled_from(HYP_VARIANTS))), [grid[k] for k in picks]
+    op = _with_ln(random_operator(rng_for(draw(st.integers(0, 10 ** 6)))))
+    return mode, op, draw(st.lists(st.tuples(st.floats(-0.5, 1.0), st.floats(-0.5, 1.0)),
+                                   min_size=2, max_size=10))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(failing_batches())
+def test_each_failed_row_has_the_error_of_its_point_alone(drawn):
+    """Each failed row of a batch carries, word for word, the error that
+    its point raises alone; the batch is computed once."""
+    mode, op, pts = drawn
+    calls = []
+    compute = invariants._operator_invariants
+
+    def counted(*args):
+        calls.append(args[1])
+        return compute(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "_operator_invariants", counted)
+        batched = operator_invariants(op, [p[0] for p in pts], [p[1] for p in pts], mode=mode)
+    assert calls == [[p[0] for p in pts]]
+    _assert_same(batched, _alone(op, pts, mode))
+
+
+def test_a_zeroth_power_of_a_nan_base_is_nan_at_either_rank():
+    """(x/x)^0 at a subnormal x, where 1/x overflows: the point raises and
+    the batch records the same error (the point used to get 1)."""
+    e = parse("(x/x)^0")
+    with pytest.raises(DomainEvalError) as alone:
+        eval_jet(e, (5e-324, 0.0), 1)
+    with failure_record() as failures:
+        got = eval_jet(e, ([5e-324, 0.5], [0.0, 0.0]), 1)
+    assert np.isnan(got.c[0]).all() and np.array_equal(got.c[1], eval_jet(e, (0.5, 0.0), 1).c)
+    assert list(failures) == [0] and str(failures[0]) == str(alone.value)
+
+
+def test_a_series_term_whose_power_underflows_fails_only_its_row():
+    """ln's coefficient 1 / (k u0^k) divides by zero where u0^k underflows:
+    one point raised a bare ZeroDivisionError, and the whole batch failed."""
+    e = parse("ln(x)")
+    with pytest.raises(DomainEvalError, match="ln overflows: a series coefficient at "
+                                              "constant term 1e-200"):
+        eval_jet(e, (1e-200, 0.0), 2)
+    with failure_record() as failures:
+        got = eval_jet(e, ([1e-200, 0.5], [0.0, 0.0]), 2)
+    assert np.isnan(got.c[0]).all() and np.array_equal(got.c[1], eval_jet(e, (0.5, 0.0), 2).c)
+    assert list(failures) == [0] and str(failures[0]).startswith("ln overflows")
+
+
+def test_a_huge_covector_is_null_at_either_rank():
+    """Squaring the covector's scale overflowed at one point (a float's
+    ** 2 raises); now both ranks find the covector null."""
+    from invar3.connection import OneForm
+    from invar3.invariants import _build_coframe
+    from invar3.symbol import Sym2Form
+
+    @np.errstate(all="ignore")  # the pairing overflows
+    def frame(v):
+        theta = OneForm(Jet2.variable(v, 0, 1), Jet2.variable(v, 1, 1))
+        return _build_coframe(theta, Sym2Form(1.0, 1.0, 1.0), rel_tol=1e-9, scale=1.0,
+                              null_name="null", zero_name="zero", diagnostics={})
+    with pytest.raises(RegularityError) as alone:
+        frame(1e200)
+    with failure_record() as failures:
+        got = frame(np.array([1e200, 1.0]))
+    assert list(failures) == [0] and str(failures[0]) == str(alone.value)
+    assert np.array_equal(got.theta_prime.t1.c[1], frame(1.0).theta_prime.t1.c)
+
+
+def test_an_overflowing_symbol_scale_is_named_at_either_rank():
+    """A batch used to call the row singular (an infinite floor) where the
+    point names the overflow."""
+    from invar3.invariants import _per_point
+    from invar3.symbol import scaled_hessian
+    sym = Symbol3(parse("1 + exp(200*x)"), 0.0, 0.0, 1.0)
+
+    def compute(x, y):
+        return {"g": scaled_hessian(sym.at(x, y, 1), -1.0 / 3.0).g11}
+    with pytest.raises(DomainEvalError) as alone:
+        compute(1.0, 0.0)
+    out = _per_point(compute, [0.0, 1.0], [0.0, 0.0])
+    assert "fourth power overflows" in str(alone.value) and str(out[1]) == str(alone.value)
+    assert not isinstance(out[0], Exception)
+
+
+def test_a_non_finite_evaluation_names_its_point_as_floats():
+    """numpy scalar coordinates printed as np.float64(...) at one point."""
+    e = parse("exp(400*x) * exp(400*x)")
+    with pytest.raises(DomainEvalError) as alone:
+        eval_jet(e, (np.float64(1.0), np.float64(0.0)), 2)
+    assert "at (1.0, 0.0) produced non-finite coefficients" in str(alone.value)
+    with failure_record() as failures:
+        eval_jet(e, (np.array([0.0, 1.0]), np.array([0.0, 0.0])), 2)
+    assert list(failures) == [1] and str(failures[1]) == str(alone.value)
 
 
 @pytest.mark.parametrize("mode", ["scalar", "bundle"])
@@ -472,16 +609,6 @@ def test_bundle_model_reuses_the_connection_form_of_its_fields():
         assert model.connection_at(x, y) == want
 
 
-class _FakeRows:
-    """A batch result: row i holds the value ``values[i]``."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def row(self, i):
-        return _FakePoint(self.values[i])
-
-
 class _FakePoint:
     def __init__(self, value):
         self.value = value
@@ -490,41 +617,48 @@ class _FakePoint:
         return {"v": self.value}
 
 
-def test_per_point_recomputes_non_finite_rows_alone():
+def test_per_point_names_a_non_finite_row_from_the_batch():
+    """``compute`` runs once; a row that failed a check gets its recorded
+    error, and a row that is not finite without one is named from the
+    batch row."""
     from invar3.invariants import _per_point
     calls = []
 
     def compute(x, y):
         calls.append((x, y))
-        if isinstance(x, list):
-            return _FakeRows([np.inf if xk == 1.0 else xk for xk in x])
-        return _FakePoint(-x)
+        v = np.asarray(x, dtype=float)
+        checked = raise_where(v == 3.0, lambda w: DomainEvalError(f"no value at {w}"), -v, v)
+        return {"v": np.where(v == 1.0, np.inf, checked), "kind": np.full(v.shape, "label")}
 
-    out = _per_point(compute, [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
-    assert [p.value for p in out] == [0.0, -1.0, 2.0]
-    assert calls == [([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]), (1.0, 0.0)]
+    out = _per_point(compute, [0.0, 1.0, 2.0, 3.0], [0.0] * 4)
+    assert calls == [([0.0, 1.0, 2.0, 3.0], [0.0] * 4)]
+    assert out[0] == {"v": -0.0, "kind": "label"} and out[2] == {"v": -2.0, "kind": "label"}
+    assert isinstance(out[1], DomainEvalError) and str(out[1]) == "non-finite v"
+    assert isinstance(out[3], DomainEvalError) and str(out[3]) == "no value at 3.0"
+    # a single point is computed alone, by the same rule
+    assert str(_per_point(compute, [3.0], [0.0])[0]) == "no value at 3.0"
+    assert str(_per_point(compute, [1.0], [0.0])[0]) == "non-finite v"
+    assert calls[1:] == [(3.0, 0.0), (1.0, 0.0)]
 
 
-def test_per_point_recomputes_a_non_finite_jet_row_alone():
-    """A row whose jet is not finite past its value is computed alone; a
-    point whose jet stays so is masked, naming it."""
+def test_per_point_names_a_non_finite_jet_row_from_the_batch():
+    """A row whose jet is not finite past its value is masked, naming it;
+    the batch is computed once."""
     from invar3.invariants import _per_point
     calls = []
 
     def compute(x, y):
         calls.append(x)
         u = Jet2.variable(x, 0, 2)
-        # the batch is infinite in a second-order term on the rows of 1 and
-        # 2, while the point 1 alone is not
-        u.c[..., -1] = np.where(np.asarray(x) > (0.5 if isinstance(x, list) else 1.5),
-                                np.inf, 0.0)
+        # infinite in a second-order term on the rows of 1 and 2
+        u.c[..., -1] = np.where(np.asarray(x) > 0.5, np.inf, 0.0)
         return {"u": u}
 
     out = _per_point(compute, [0.0, 1.0, 2.0], [0.0] * 3)
-    assert calls == [[0.0, 1.0, 2.0], 1.0, 2.0]
-    for k in (0, 1):
-        assert np.array_equal(out[k]["u"].c, Jet2.variable(float(k), 0, 2).c)
-    assert isinstance(out[2], DomainEvalError) and str(out[2]) == "non-finite u"
+    assert calls == [[0.0, 1.0, 2.0]]
+    assert np.array_equal(out[0]["u"].c, Jet2.variable(0.0, 0, 2).c)
+    for k in (1, 2):
+        assert isinstance(out[k], DomainEvalError) and str(out[k]) == "non-finite u"
 
 
 def test_a_batch_that_raises_propagates_out_of_per_point():
@@ -813,6 +947,23 @@ def test_stage_one_makes_one_candidate_call_per_grid(monkeypatch):
         stage = _stage_one(op, grid, 1)
         assert calls == [True]
     assert any(s is None for s in stage.seeds)  # the mixed grid has masked points
+
+
+def test_a_scalar_model_reads_its_kept_chart_from_stage_one(monkeypatch):
+    """The scalar fields read the chart jets of the kept grid points as one
+    batch, which stage one's rows seed: no candidate call after stage one."""
+    calls = []
+    candidates = equivalence._candidate_invariants
+
+    def counted(sym_field, x, y, *args, **kwargs):
+        calls.append(isinstance(x, list))
+        return candidates(sym_field, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "_candidate_invariants", counted)
+    for op, grid in _stage_one_operators(5)[:2]:
+        calls.clear()
+        build_natural_model(op, grid, "scalar")
+        assert calls == [True]
 
 
 def _check_inverse_alone(phi, phi_inv, window, tol=1e-10):

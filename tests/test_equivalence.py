@@ -18,7 +18,7 @@ from invar3.equivalence import (DomainGrid, EquivConfig, build_natural_model,
                                 pushforward_operator, pushforward_symbol,
                                 scale_operator)
 from invar3.errors import (DomainEvalError, GeneralPositionError, InverseMismatchError,
-                           NonPositiveScaleError, ZeroCrossingError, masked)
+                           NonPositiveScaleError, ZeroCrossingError, masked, raise_where)
 from invar3.expr import coefficient_field, cos as ecos
 from invar3.expr import exp as eexp
 from invar3.expr import sin as esin
@@ -667,10 +667,10 @@ def test_lockstep_newton_gives_none_where_the_chart_raises(mode):
     assert runs[0][1] is not None
 
 
-def test_chart_memo_computes_a_failed_row_alone_once(monkeypatch):
-    """One batch for the distinct missing points, then each failed row
-    alone, once; every row equals its one-point value, the failed one
-    gets its one-point error, and later one-point reads hit."""
+def test_chart_memo_names_a_failed_row_from_its_batch(monkeypatch):
+    """One batch for the distinct missing points and nothing alone; every
+    row equals its one-point value, the failed one carries its one-point
+    error, and later one-point reads hit."""
     from invar3 import equivalence
     from invar3.equivalence import _candidate_invariants, _chart_memo
     calls = []
@@ -684,9 +684,12 @@ def test_chart_memo_computes_a_failed_row_alone_once(monkeypatch):
     memo = _chart_memo(op, (0, 1))
     xs, ys = [0.5, -0.5, 0.3, 0.5], [0.5, 0.5, 0.2, 0.5]
     got = memo.serve(xs, ys, 1)
-    assert calls == [[0.5, -0.5, 0.3], -0.5]
+    assert calls == [[0.5, -0.5, 0.3]]
     assert isinstance(got[1], DomainEvalError) and got[0] is got[3]
     fresh = _chart_memo(op, (0, 1))
+    with pytest.raises(DomainEvalError) as alone:
+        fresh(-0.5, 0.5, 1)
+    assert str(got[1]) == str(alone.value)
     for (x, y), row in zip(zip(xs, ys), got):
         if not isinstance(row, Exception):
             alone = fresh(x, y, 1)
@@ -702,29 +705,72 @@ def test_point_memo_serve_batches_only_what_it_must():
     batches, alone = [], []
 
     def compute(x, y, order):
-        """-x on either rank; a batch is NaN on the rows of 2.0 and 5.0, and
-        5.0 raises alone."""
-        if isinstance(x, list):
-            batches.append(x)
-            return np.array([np.nan if v in (2.0, 5.0) else -v for v in x])
-        alone.append(x)
-        if x == 5.0:
-            raise DomainEvalError("log of a non-positive value")
-        return -x
+        """-x on either rank, where 5.0 fails a check and 2.0 overflows."""
+        (batches if isinstance(x, list) else alone).append(x)
+        v = np.asarray(x, dtype=float)
+        v = raise_where(v == 5.0, lambda: DomainEvalError("log of a non-positive value"), v)
+        return {"v": np.where(v == 2.0, np.inf, -v)}
+
+    def values(got):
+        return [g if isinstance(g, Exception) else g["v"] for g in got]
 
     memo = _PointMemo(compute)
-    # one batch of the distinct misses, and the failed row alone
-    assert memo.serve([1.0, 2.0, 3.0, 1.0], [0.0] * 4, 1) == [-1.0, -2.0, -3.0, -1.0]
-    assert batches == [[1.0, 2.0, 3.0]] and alone == [2.0]
-    # hits and a single miss make no batch
-    assert memo.serve([1.0, 3.0, 4.0], [0.0] * 3, 1) == [-1.0, -3.0, -4.0]
-    assert batches == [[1.0, 2.0, 3.0]] and alone == [2.0, 4.0]
-    # a point that raises alone gets its error, which is not stored
-    got = memo.serve([5.0, 6.0], [0.0] * 2, 1)
-    assert isinstance(got[0], DomainEvalError) and got[1] == -6.0 and alone[-1] == 5.0
-    assert isinstance(memo.serve([5.0, 6.0], [0.0] * 2, 1)[0], DomainEvalError)
-    assert alone[-1] == 5.0 and len(batches) == 2
-    assert memo.serve([], [], 1) == [] and len(batches) == 2
+    # one batch of the distinct misses, and nothing alone
+    got = values(memo.serve([1.0, 2.0, 3.0, 1.0], [0.0] * 4, 1))
+    assert got[0] == got[3] == -1.0 and got[2] == -3.0 and str(got[1]) == "non-finite v"
+    assert batches == [[1.0, 2.0, 3.0]] and alone == []
+    # hits and a single miss make no batch; a failed point is not stored
+    got = values(memo.serve([1.0, 3.0, 4.0, 2.0], [0.0] * 4, 1))
+    assert got[:3] == [-1.0, -3.0, -4.0] and str(got[3]) == "non-finite v"
+    assert batches == [[1.0, 2.0, 3.0], [4.0, 2.0]] and alone == []
+    # a point that fails a check gets its error, at either rank
+    got = values(memo.serve([5.0, 6.0], [0.0] * 2, 1))
+    assert str(got[0]) == "log of a non-positive value" and got[1] == -6.0
+    assert str(values(memo.serve([5.0], [0.0], 1))[0]) == "log of a non-positive value"
+    assert alone == [5.0] and len(batches) == 3
+    assert memo.serve([], [], 1) == [] and len(batches) == 3
+
+
+@pytest.mark.parametrize("kind", ["field", "raw slots", "chart"])
+def test_a_memo_hit_replays_the_failures_of_its_batch(monkeypatch, kind):
+    """The same failing batch read twice through a memo keyed by the batch:
+    the second read is a hit, and its failed rows keep their reasons (a hit
+    that dropped them would leave the rows NaN with no error recorded)."""
+    from invar3 import equivalence, expr
+    from invar3.equivalence import _chart_memo, _memoized_field
+    from invar3.invariants import _per_point
+    rng = rng_for(509)
+    op = _with_ln_symbol(random_operator(rng))
+    calls = []
+    if kind == "chart":
+        charts = _chart_memo(op, (0, 1))
+        watched, name = equivalence, "_candidate_invariants"
+
+        def compute(x, y):
+            return {"c": charts(x, y, 1)[0]}
+    else:
+        field = (_memoized_field(op.a2) if kind == "field"
+                 else pushforward_operator(op, *random_diffeo(rng)).a2)
+        watched, name = (expr, "eval_jet") if kind == "field" else (
+            equivalence, "_chain_rule_trackers")
+
+        def compute(x, y):
+            return {"a2": field(x, y, 1)}
+    wrapped = getattr(watched, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(watched, name, counted)
+    xs, ys = [0.5, -0.5, 0.3, -0.6], [0.5, 0.5, 0.2, 0.1]
+    first = _per_point(compute, xs, ys)
+    made = len(calls)
+    second = _per_point(compute, xs, ys)
+    assert made and len(calls) == made  # the second read hits
+    reasons = [str(r) for r in first if isinstance(r, Exception)]
+    assert len(reasons) == 2 and not any(r.startswith("non-finite") for r in reasons)
+    assert reasons == [str(r) for r in second if isinstance(r, Exception)]
 
 
 def test_lockstep_gather_makes_fewer_chart_calls(monkeypatch):

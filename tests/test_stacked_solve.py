@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgesdd, dgetrf, dgetrs
 
-from invar3.errors import ConditioningWarning, SingularSymbolError
+from invar3.errors import ConditioningWarning, SingularSymbolError, failure_record
 from invar3.jets import Jet2, ncoef
 from invar3.linalg import solve_jet_system
 
@@ -209,3 +209,26 @@ def test_a_row_whose_svd_does_not_converge_masks_only_that_row(monkeypatch):
         assert np.array_equal(getattr(got, name)[kept], getattr(want, name)[kept])
     for xi, yi in zip(x, y):
         assert np.isnan(yi.c[4]).all() and np.array_equal(yi.c[kept], xi.c[kept])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 8]), st.integers(0, 3), st.integers(2, 12),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_a_failed_row_records_the_error_of_its_system_alone(n, order, rows, seed, data):
+    plants = data.draw(st.lists(st.sampled_from(PLANTS), min_size=rows, max_size=rows))
+    M, b, _, _ = planted_system(n, order, rows, seed, False, plants)
+
+    def alone(r):
+        def entry(e):
+            return e.row(r) if isinstance(e, Jet2) and e.batched else e
+        try:
+            solve_jet_system([[entry(e) for e in row] for row in M], [entry(e) for e in b])
+        except SingularSymbolError as err:
+            return str(err)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", ConditioningWarning)
+        want = [alone(r) for r in range(rows)]
+        with failure_record() as failures:
+            solve_jet_system(M, b)
+    assert {r: str(err) for r, err in failures.items()} == {
+        r: w for r, w in enumerate(want) if w is not None}
